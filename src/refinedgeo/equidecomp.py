@@ -589,29 +589,25 @@ class _Chain:
         self.figure = new_figure
 
 
-def _rect_frame(triangle: tuple[Vec, Vec, Vec], check: bool, log: list[str], tag: str):
+def _rect_frame(triangle: tuple[Vec, Vec, Vec], log: list[str], tag: str):
     """Triangle -> parallelogram -> perpendicular rectangle.  Returns the
     chain and the rectangle frame (origin, base, height vector)."""
     v0, v1, v2 = triangle
     chain = _Chain(convex_polygon_lift([v0, v1, v2]))
-    pieces, motions, target = triangle_to_parallelogram(triangle, check)
+    pieces, motions, target = triangle_to_parallelogram(triangle, check=False)
     chain.apply_stage(pieces, motions, target)
     b = v1 - v0
     h = (v2 - v0).scale(_HALF)
     n = h - b.scale(h.dot(b) / b.dot(b))
-    pieces, motions, target = equiareal_shear(v0, b, h, n, check)
+    pieces, motions, target = equiareal_shear(v0, b, h, n, check=False)
     chain.apply_stage(pieces, motions, target)
     log.append(f"{tag}: triangle to rectangle (midline cut + shear)")
     return chain, (v0, b, n)
 
 
-def _double_frame(
-    chain: _Chain, frame: tuple[Vec, Vec, Vec], check: bool
-) -> tuple[Vec, Vec, Vec]:
+def _double_frame(chain: _Chain, frame: tuple[Vec, Vec, Vec]) -> tuple[Vec, Vec, Vec]:
     o, b, n = frame
     pieces, motions, target = _double_base(o, b, n)
-    if check:
-        _check_stage(pieces, motions, chain.figure, target)
     chain.apply_stage(pieces, motions, target)
     return o, b + b, n.scale(_HALF)
 
@@ -619,7 +615,6 @@ def _double_frame(
 def _chain_q_onto_rect_p(
     triangle: tuple[Vec, Vec, Vec],
     p_frame: tuple[Vec, Vec, Vec],
-    check: bool,
     log: list[str],
     tag: str,
     planned_doublings: int = 0,
@@ -627,7 +622,7 @@ def _chain_q_onto_rect_p(
     """Q-triangle chain ending exactly on the P rectangle."""
     op, bp, np_ = p_frame
     n_p_sq = bp.dot(bp)
-    chain, frame = _rect_frame(triangle, check, log, tag)
+    chain, frame = _rect_frame(triangle, log, tag)
     a = cross2(frame[1], frame[2])  # common area, positive, doubling-invariant
     doublings = 0
     # Planned doublings come from the pair planner; the while loop below is
@@ -635,7 +630,7 @@ def _chain_q_onto_rect_p(
     while doublings < planned_doublings or sign(
         n_p_sq * frame[1].dot(frame[1]) - a * a
     ) < 0:
-        frame = _double_frame(chain, frame, check)
+        frame = _double_frame(chain, frame)
         doublings += 1
     o, b, n = frame
     if doublings:
@@ -647,10 +642,10 @@ def _chain_q_onto_rect_p(
     s = b.scale(lam) + n
     if sign(s.dot(s) - n_p_sq) != 0:
         raise GeometryError("slant side length drifted; exact arithmetic bug")
-    pieces, motions, target = equiareal_shear(o, b, n, s, check)
+    pieces, motions, target = equiareal_shear(o, b, n, s, check=False)
     chain.apply_stage(pieces, motions, target)
     m = b - s.scale(root / n_p_sq)
-    pieces, motions, target = equiareal_shear(o, s, b, m, check)
+    pieces, motions, target = equiareal_shear(o, s, b, m, check=False)
     chain.apply_stage(pieces, motions, target)
     log.append(f"{tag}: two shears through the slant side")
     # Rigid motion: s -> -bp forces m -> np (orientation), corner o -> op+bp.
@@ -661,8 +656,6 @@ def _chain_q_onto_rect_p(
         raise GeometryError("rigid alignment failed; exact arithmetic bug")
     move = Motion(rot.rotation, (op + bp) - rot.apply_direction(o))
     rect_p = _pgram_lift(op, bp, np_)
-    if check:
-        _check_stage([chain.figure], [move], chain.figure, rect_p)
     chain.apply_stage([chain.figure], [move], rect_p)
     log.append(f"{tag}: rotated onto the target rectangle")
     return chain
@@ -811,14 +804,12 @@ def equidecompose(
     # below re-establishes every intermediate claim globally and exactly.
     for idx, (tp, tq) in enumerate(zip(matched_p, matched_q), start=1):
         tp_c, tq_c, kp, kq = _plan_pair(tp, tq)
-        chain_p, frame = _rect_frame(tp_c, False, log, f"pair {idx} P-side")
+        chain_p, frame = _rect_frame(tp_c, log, f"pair {idx} P-side")
         for _ in range(kp):
-            frame = _double_frame(chain_p, frame, False)
+            frame = _double_frame(chain_p, frame)
         if kp:
             log.append(f"pair {idx} P-side: doubled the rectangle base {kp} time(s)")
-        chain_q = _chain_q_onto_rect_p(
-            tq_c, frame, False, log, f"pair {idx} Q-side", kq
-        )
+        chain_q = _chain_q_onto_rect_p(tq_c, frame, log, f"pair {idx} Q-side", kq)
         moved_q = [g.apply_polytope(qp) for qp, g in zip(chain_q.pieces, chain_q.motions)]
         inverses = [g.inverse() for g in chain_q.motions]
         for piece, f in zip(chain_p.pieces, chain_p.motions):

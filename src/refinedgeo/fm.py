@@ -3,19 +3,26 @@
 A constraint is ``coeffs . x + const >= 0`` (weak) or ``> 0`` (strict).
 Systems live in the intrinsic coordinates of some carrier, so the ambient
 dimension here is the carrier dimension (desk scale: <= 3 variables).
-Everything is exact; feasibility answers are definitive, and sample points
-are exact rational/tower witnesses.
+
+Every scalar the library builds lies in a tower of square roots, and the
+solver works in one encoding of that tower: a value is a sparse integer
+vector over the monomial basis of the square roots met so far, each radicand
+itself encoded over earlier roots.  Rows are cleared to integers, so
+elimination, substitution and Cramer's rule are integer arithmetic; signs
+come from the recursive norm rule; scalars are decoded only at the output.
+Feasibility answers are definitive, and sample points and vertices are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import AffineFunctional, Vec, rank, solve_square
-from .scalars import Scalar, adjoin_sqrt, sign, structural_key, to_scalar
+from .errors import GeometryError
+from .linalg import AffineFunctional, Vec, rank
+from .scalars import Scalar, adjoin_sqrt, sign, to_scalar
 
 __all__ = [
     "LinIneq",
@@ -47,9 +54,6 @@ class LinIneq:
         out.source = xi
         return out
 
-    def to_functional(self) -> AffineFunctional:
-        return AffineFunctional(Vec(*self.coeffs), self.const)
-
     def value(self, point: Sequence[Scalar]) -> Scalar:
         total = self.const
         for c, x in zip(self.coeffs, point):
@@ -65,189 +69,113 @@ class LinIneq:
         return f"LinIneq({list(self.coeffs)!r} . x + {self.const!r} {op} 0)"
 
 
-def _content_factor(values) -> Fraction:
-    """Positive rational making every Fraction leaf an integer with overall
-    gcd 1.  Tower scalars contribute their rational parts; radicands are
-    untouched (scaling a row never rescales what sits under a root)."""
-    num_g = 0
-    den_l = 1
-    stack = list(values)
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Fraction):
-            if x:
-                n = x.numerator
-                num_g = gcd(num_g, n if n >= 0 else -n)
-                den_l = den_l // gcd(den_l, x.denominator) * x.denominator
-        else:
-            stack.append(x.a)
-            stack.append(x.b)
-    return Fraction(den_l, num_g) if num_g else Fraction(1)
-
-
-def _simplify(cons: list[LinIneq]) -> Optional[list[LinIneq]]:
-    """Drop tautologies and dominated duplicates; None when a constant row
-    is already violated."""
-    kept: list[LinIneq] = []
-    seen: dict = {}  # structural coefficient key -> index into kept
-    for c in cons:
-        nz = None
-        for i, a in enumerate(c.coeffs):
-            if sign(a) != 0:
-                nz = i
-                break
-        if nz is None:
-            s = sign(c.const)
-            if s < 0 or (s == 0 and c.strict):
-                return None
-            continue
-        # Scale by the content: entries become small integers (canonical up
-        # to positive rational factor) without any tower division, and the
-        # structural key then catches duplicates without scalar arithmetic.
-        factor = _content_factor(list(c.coeffs) + [c.const])
-        if factor == 1:
-            scaled = c
-        else:
-            scaled = LinIneq(
-                [a * factor for a in c.coeffs], c.const * factor, c.strict
-            )
-        key = tuple(structural_key(a) for a in scaled.coeffs)
-        j = seen.get(key)
-        if j is None:
-            seen[key] = len(kept)
-            kept.append(scaled)
-            continue
-        k = kept[j]
-        d = sign(scaled.const - k.const)
-        if d < 0 or (d == 0 and scaled.strict and not k.strict):
-            kept[j] = scaled  # new row is tighter
-    return kept
-
-
-def _eliminate(cons: list[LinIneq], var: int) -> Optional[list[LinIneq]]:
-    pos: list[LinIneq] = []
-    neg: list[LinIneq] = []
-    out: list[LinIneq] = []
-    for c in cons:
-        s = sign(c.coeffs[var])
-        if s > 0:
-            pos.append(c)
-        elif s < 0:
-            neg.append(c)
-        else:
-            out.append(c)
-    for p in pos:
-        for n in neg:
-            pc = p.coeffs[var]
-            nc = n.coeffs[var]
-            # (-nc) * p + pc * n cancels the variable; -nc and pc positive.
-            coeffs = [(-nc) * a + pc * b for a, b in zip(p.coeffs, n.coeffs)]
-            const = (-nc) * p.const + pc * n.const
-            out.append(LinIneq(coeffs, const, p.strict or n.strict))
-    return _simplify(out)
-
-
-def _pick_var(cons: list[LinIneq], remaining: list[int]) -> int:
-    best = remaining[0]
-    best_cost = None
-    for var in remaining:
-        npos = sum(1 for c in cons if sign(c.coeffs[var]) > 0)
-        nneg = sum(1 for c in cons if sign(c.coeffs[var]) < 0)
-        cost = npos * nneg - (npos + nneg)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = var, cost
-    return best
-
-
-# -- integer fast path -------------------------------------------------------
+# -- the tower encoding --------------------------------------------------------
 #
-# Feasibility is by far the hottest question, so systems whose scalars are
-# rationals or tower values with rational radicands get re-encoded as sparse
-# integer vectors over the monomial basis of the occurring square roots:
-# value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m).
-# Rows are cleared to integers, elimination is integer arithmetic, and signs
-# come from the same recursive norm rule the tower scalars use.  The generic
-# path below remains the reference implementation and the fallback.
+# Generator i is sqrt(R_i) with R_i > 0.  A value is a sparse dict over the
+# monomial basis of the generators,
+#     value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m),
+# and each radicand R_i is an int or, for a nested root, such a dict over
+# generators below i.  Scalars are encoded radicand first, so that order
+# holds by construction.  The sign rule splits a value on its top generator
+# as p + q*sqrt(R) and compares p^2 with q^2*R; it never assumes that the
+# generators are independent (sqrt(2+sqrt2) and sqrt(2-sqrt2) get separate
+# bits although their product is sqrt2), so every sign is exact.  A
+# coefficient that is 0 with a nonempty encoding is caught by its sign.
+
+# The generators seen so far, in a process-wide registry so that row
+# encodings cached on functionals stay valid: the list only ever appends.
+_RADICANDS: list = []  # bit -> int, or encoded dict over lower bits
+_INDEX: dict = {}  # integer radicand, or its sorted items -> bit
 
 
-# The square roots seen so far, in a process-wide registry so that cached
-# row encodings on functionals stay valid: the list only ever appends.
-_FP_RADICANDS: list = []
-_FP_INDEX: dict = {}
-
-
-def _fp_value(x):
-    """Sparse mask -> Fraction encoding of a scalar; None if out of scope."""
+def _encode(x) -> dict:
+    """Sparse mask -> Fraction encoding of a scalar."""
     if isinstance(x, Fraction):
         return {0: x} if x else {}
-    if not isinstance(x.radicand, Fraction) or x.radicand <= 0:
-        return None
-    ra = _fp_value(x.a)
-    if ra is None:
-        return None
-    rb = _fp_value(x.b)
-    if rb is None:
-        return None
-    key = (x.radicand.numerator, x.radicand.denominator)
-    bit = _FP_INDEX.get(key)
+    r = _encode(x.radicand)
+    if _sign(r) <= 0:
+        raise GeometryError("square root of a nonpositive radicand")
+    # sqrt(R) = sqrt(R * D^2) / D with an integer radicand R * D^2.
+    d = 1
+    for v in r.values():
+        d = lcm(d, v.denominator)
+    r = {m: (v * d * d).numerator for m, v in r.items()}
+    key = r[0] if len(r) == 1 and 0 in r else tuple(sorted(r.items()))
+    bit = _INDEX.get(key)
     if bit is None:
-        bit = len(_FP_RADICANDS)
-        _FP_INDEX[key] = bit
-        _FP_RADICANDS.append(key[0] * key[1])  # sqrt(n/d) = sqrt(n*d)/d
-    out = dict(ra)
-    scale = Fraction(1, key[1])
-    flag = 1 << bit
-    for mask, v in rb.items():
-        v = v * scale
-        if mask & flag:
-            m, v = mask & ~flag, v * _FP_RADICANDS[bit]
-        else:
-            m = mask | flag
-        out[m] = out.get(m, _ZERO) + v
-    return {m: v for m, v in out.items() if v}
+        bit = len(_RADICANDS)
+        _INDEX[key] = bit
+        _RADICANDS.append(key if isinstance(key, int) else r)
+    root = {1 << bit: Fraction(1, d)}
+    return _add(_encode(x.a), _mul(_encode(x.b), root))
 
 
-def _fp_sign(val: dict) -> int:
+def _decode(val: dict) -> Scalar:
+    """The scalar p + q*sqrt(R) of a value split on its top generator, with
+    that generator outermost as in the tower."""
+    if not val:
+        return _ZERO
+    top = max(val).bit_length() - 1
+    if top < 0:
+        return Fraction(val[0])
+    flag = 1 << top
+    p = {m: v for m, v in val.items() if not m & flag}
+    q = {m & ~flag: v for m, v in val.items() if m & flag}
+    r = _RADICANDS[top]
+    root = adjoin_sqrt(r if isinstance(r, int) else _decode(r))
+    return root * _decode(q) + _decode(p)
+
+
+def _sign(val: dict) -> int:
     if not val:
         return 0
     top = max(val).bit_length() - 1
     if top < 0:
-        n = val[0].numerator if isinstance(val[0], Fraction) else val[0]
-        return (n > 0) - (n < 0)
+        return 1 if val[0] > 0 else -1
     flag = 1 << top
     p = {m: v for m, v in val.items() if not m & flag}
     q = {m & ~flag: v for m, v in val.items() if m & flag}
-    sp = _fp_sign(p)
-    sq = _fp_sign(q)
+    sp = _sign(p)
+    sq = _sign(q)
     if sq == 0:
         return sp
     if sp == 0 or sp == sq:
-        return sq if sp == 0 else sp
-    norm = _fp_sub(_fp_mul(p, p), _fp_scale(_fp_mul(q, q), _FP_RADICANDS[top]))
-    return sp * _fp_sign(norm)
+        return sq
+    r = _RADICANDS[top]
+    qq = _mul(q, q)
+    qqr = _scale(qq, r) if isinstance(r, int) else _mul(qq, r)
+    return sp * _sign(_sub(_mul(p, p), qqr))
 
 
-def _fp_mul(a: dict, b: dict) -> dict:
+def _mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, va in a.items():
         for mb, vb in b.items():
             v = va * vb
-            common = ma & mb
-            while common:
-                low = common & -common
-                v *= _FP_RADICANDS[low.bit_length() - 1]
-                common &= common - 1
             m = ma ^ mb
-            cur = out.get(m)
-            out[m] = v if cur is None else cur + v
+            common = ma & mb
+            nested = None  # product of the nested radicands met
+            while common:
+                r = _RADICANDS[(common & -common).bit_length() - 1]
+                if isinstance(r, int):
+                    v *= r
+                else:
+                    nested = r if nested is None else _mul(nested, r)
+                common &= common - 1
+            if nested is None:
+                cur = out.get(m)
+                out[m] = v if cur is None else cur + v
+            else:
+                for mt, vt in _mul({m: v}, nested).items():
+                    out[mt] = out.get(mt, 0) + vt
     return {m: v for m, v in out.items() if v}
 
 
-def _fp_scale(a: dict, factor) -> dict:
+def _scale(a: dict, factor) -> dict:
     return {m: v * factor for m, v in a.items()} if factor else {}
 
 
-def _fp_sub(a: dict, b: dict) -> dict:
+def _sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for m, v in b.items():
         cur = out.get(m, 0)
@@ -259,7 +187,7 @@ def _fp_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _fp_add(a: dict, b: dict) -> dict:
+def _add(a: dict, b: dict) -> dict:
     out = dict(a)
     for m, v in b.items():
         cur = out.get(m, 0)
@@ -271,27 +199,22 @@ def _fp_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _fp_encode_row(c: LinIneq):
-    """Integer sparse encoding of one row, or None when out of scope."""
-    encoded = []
-    for s in list(c.coeffs) + [c.const]:
-        e = _fp_value(s)
-        if e is None:
-            return None
-        encoded.append(e)
-    lcm = 1
+def _encode_row(c: LinIneq) -> list:
+    """Integer sparse encoding of one row: coefficients, then the constant."""
+    encoded = [_encode(s) for s in c.coeffs]
+    encoded.append(_encode(c.const))
+    d = 1
     for e in encoded:
         for v in e.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
+            d = lcm(d, v.denominator)
     return [
-        {m: (v.numerator * lcm) // v.denominator for m, v in e.items()}
+        {m: (v.numerator * d) // v.denominator for m, v in e.items()}
         for e in encoded
     ]
 
 
-def _fp_rows(cons: Sequence[LinIneq]):
-    """Rows in integer form, or None when any scalar is out of scope.
+def _rows(cons: Sequence[LinIneq]) -> list:
+    """(strict, integer row) pairs.
 
     Rows built from functionals keep their encoding on the functional, so
     repeated feasibility questions over the same geometry encode once."""
@@ -299,24 +222,25 @@ def _fp_rows(cons: Sequence[LinIneq]):
     for c in cons:
         src = c.source
         ints = None if src is None else src._fenc
-        if ints is False:
-            return None
         if ints is None:
-            ints = _fp_encode_row(c)
+            ints = _encode_row(c)
             if src is not None:
-                src._fenc = ints if ints is not None else False
-            if ints is None:
-                return None
+                src._fenc = ints
         rows.append((c.strict, ints))
     return rows
 
 
-def _fp_simplify(rows) -> Optional[list]:
+# -- elimination ------------------------------------------------------------------
+
+
+def _simplify(rows) -> Optional[list]:
+    """Drop tautologies and dominated duplicates; None when a constant row
+    is already violated."""
     kept: list = []
     seen: dict = {}
     for strict, ints in rows:
         if all(not e for e in ints[:-1]):
-            s = _fp_sign(ints[-1])
+            s = _sign(ints[-1])
             if s < 0 or (s == 0 and strict):
                 return None
             continue
@@ -333,16 +257,16 @@ def _fp_simplify(rows) -> Optional[list]:
             kept.append((strict, ints))
             continue
         kstrict, kints = kept[j]
-        d = _fp_sign(_fp_sub(ints[-1], kints[-1]))
+        d = _sign(_sub(ints[-1], kints[-1]))
         if d < 0 or (d == 0 and strict and not kstrict):
             kept[j] = (strict, ints)
     return kept
 
 
-def _fp_eliminate(rows, var: int) -> Optional[list]:
+def _eliminate(rows, var: int) -> Optional[list]:
     pos, neg, out = [], [], []
     for strict, ints in rows:
-        s = _fp_sign(ints[var])
+        s = _sign(ints[var])
         if s > 0:
             pos.append((strict, ints))
         elif s < 0:
@@ -355,175 +279,156 @@ def _fp_eliminate(rows, var: int) -> Optional[list]:
     for ps, pi in pos:
         pc = pi[var]
         for ns, ni in neg:
-            mnc = _fp_scale(ni[var], -1)
+            mnc = _scale(ni[var], -1)
             # (-nc) * p + pc * n cancels the variable; both factors positive.
-            row = [
-                _fp_add(_fp_mul(mnc, a), _fp_mul(pc, b)) for a, b in zip(pi, ni)
-            ]
+            row = [_add(_mul(mnc, a), _mul(pc, b)) for a, b in zip(pi, ni)]
             row[var] = {}
             out.append((ps or ns, row))
-    return _fp_simplify(out)
+    return _simplify(out)
 
 
-def _fp_last_var(rows, var: int) -> bool:
-    """Feasibility of a univariate system by a linear interval scan; avoids
-    the quadratic combination step on the largest derived rows."""
-    lo = hi = None  # (numerator, positive denominator, strict)
+def _pick_var(rows, remaining: list[int]) -> int:
+    best, best_cost = remaining[0], None
+    for var in remaining:
+        npos = sum(1 for _, ints in rows if _sign(ints[var]) > 0)
+        nneg = sum(1 for _, ints in rows if _sign(ints[var]) < 0)
+        cost = npos * nneg - (npos + nneg)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = var, cost
+    return best
+
+
+def _compare(x: tuple, y: tuple) -> int:
+    """Sign of x - y for bounds (num, positive den, ...)."""
+    return _sign(_sub(_mul(x[0], y[1]), _mul(y[0], x[1])))
+
+
+def _interval(rows, var: int):
+    """Bounds on ``var`` from rows where it is the only variable left: a
+    pair (lower, upper) of (num, positive den, strict) or None when open
+    on that side.  None when the rows leave no room.  A linear scan, which
+    avoids the quadratic combination step on the largest derived rows."""
+    lo = hi = None
     for strict, ints in rows:
         a = ints[var]
-        s = _fp_sign(a)
+        s = _sign(a)
         if s == 0:
-            c = _fp_sign(ints[-1])
+            c = _sign(ints[-1])
             if c < 0 or (c == 0 and strict):
-                return False
-            continue
-        if s > 0:  # x >= -const/a
-            num, den = _fp_scale(ints[-1], -1), a
+                return None
+        elif s > 0:  # x >= -const/a
+            bound = (_scale(ints[-1], -1), a, strict)
             if lo is None:
-                lo = (num, den, strict)
+                lo = bound
             else:
-                d = _fp_sign(_fp_sub(_fp_mul(num, lo[1]), _fp_mul(lo[0], den)))
+                d = _compare(bound, lo)
                 if d > 0 or (d == 0 and strict and not lo[2]):
-                    lo = (num, den, strict or (d == 0 and lo[2]))
+                    lo = bound
         else:  # x <= const/(-a)
-            num, den = ints[-1], _fp_scale(a, -1)
+            bound = (ints[-1], _scale(a, -1), strict)
             if hi is None:
-                hi = (num, den, strict)
+                hi = bound
             else:
-                d = _fp_sign(_fp_sub(_fp_mul(num, hi[1]), _fp_mul(hi[0], den)))
+                d = _compare(bound, hi)
                 if d < 0 or (d == 0 and strict and not hi[2]):
-                    hi = (num, den, strict or (d == 0 and hi[2]))
-    if lo is None or hi is None:
-        return True
-    d = _fp_sign(_fp_sub(_fp_mul(hi[0], lo[1]), _fp_mul(lo[0], hi[1])))
-    if d != 0:
-        return d > 0
-    return not (lo[2] or hi[2])
-
-
-def _fp_feasible(cons: Sequence[LinIneq], nvars: int) -> Optional[bool]:
-    rows = _fp_rows(cons)
-    if rows is None:
-        return None
-    system = _fp_simplify(rows)
-    if system is None:
-        return False
-    remaining = list(range(nvars))
-    while remaining:
-        if len(remaining) == 1:
-            return _fp_last_var(system, remaining[0])
-        best, best_cost = remaining[0], None
-        for var in remaining:
-            npos = sum(1 for _, ints in system if _fp_sign(ints[var]) > 0)
-            nneg = sum(1 for _, ints in system if _fp_sign(ints[var]) < 0)
-            cost = npos * nneg - (npos + nneg)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = var, cost
-        remaining.remove(best)
-        system = _fp_eliminate(system, best)
-        if system is None:
-            return False
-    return True
+                    hi = bound
+    if lo is not None and hi is not None:
+        d = _compare(hi, lo)
+        if d < 0 or (d == 0 and (lo[2] or hi[2])):
+            return None
+    return lo, hi
 
 
 def feasible(cons: Sequence[LinIneq], nvars: int) -> bool:
     """Exact feasibility of the mixed strict/weak system."""
-    fast = _fp_feasible(cons, nvars)
-    if fast is not None:
-        return fast
-    system = _simplify(list(cons))
+    system = _simplify(_rows(cons))
     if system is None:
         return False
     remaining = list(range(nvars))
-    while remaining:
+    while len(remaining) > 1:
         var = _pick_var(system, remaining)
         remaining.remove(var)
         system = _eliminate(system, var)
         if system is None:
             return False
-    return True
+    return not remaining or _interval(system, remaining[0]) is not None
 
 
-def _subst(cons: list[LinIneq], var: int, value: Scalar) -> list[LinIneq]:
+def _substitute(rows, values: dict) -> list:
+    """Rows with each variable of ``values`` (var -> (num, positive den))
+    replaced by its value; a row is scaled by the denominators it meets."""
     out = []
-    for c in cons:
-        coeffs = list(c.coeffs)
-        const = c.const + coeffs[var] * value
-        coeffs[var] = _ZERO
-        out.append(LinIneq(coeffs, const, c.strict))
+    for strict, ints in rows:
+        for var, (num, den) in values.items():
+            a = ints[var]
+            if a:
+                ints = [_mul(e, den) for e in ints]
+                ints[-1] = _add(ints[-1], _mul(a, num))
+                ints[var] = {}
+        out.append((strict, ints))
     return out
 
 
-def _solve_univariate(cons: list[LinIneq], var: int) -> Optional[Scalar]:
-    """Pick a value for ``var`` from a system where only it has nonzero
-    coefficients.  None when the interval is empty."""
-    lower: Optional[tuple[Scalar, bool]] = None
-    upper: Optional[tuple[Scalar, bool]] = None
-    for c in cons:
-        a = c.coeffs[var]
-        s = sign(a)
-        if s == 0:
-            cs = sign(c.const)
-            if cs < 0 or (cs == 0 and c.strict):
-                return None
-            continue
-        bound = -c.const / a
-        if s > 0:
-            if lower is None or sign(bound - lower[0]) > 0:
-                lower = (bound, c.strict)
-            elif sign(bound - lower[0]) == 0 and c.strict:
-                lower = (bound, True)
+def _choose(lo, hi) -> tuple:
+    """The value taken from a nonempty interval, as (num, positive den):
+    0 when unbounded, a weak bound, a strict bound moved inward by 1, or
+    the midpoint."""
+    if lo is None and hi is None:
+        return {}, {0: 1}
+    if lo is None:
+        num, den, strict = hi
+        return (_sub(num, den) if strict else num), den
+    if hi is None:
+        num, den, strict = lo
+        return (_add(num, den) if strict else num), den
+    if _compare(hi, lo) == 0:
+        return lo[0], lo[1]
+    num = _add(_mul(lo[0], hi[1]), _mul(hi[0], lo[1]))
+    return num, _scale(_mul(lo[1], hi[1]), 2)
+
+
+def _quotient(num: dict, den: dict) -> Scalar:
+    """The scalar num/den: den is made rational by multiplying through with
+    its conjugate on the top generator, then num is decoded over it."""
+    while max(den):
+        flag = 1 << (max(den).bit_length() - 1)
+        p = {m: v for m, v in den.items() if not m & flag}
+        conj = _sub(p, {m: v for m, v in den.items() if m & flag})
+        if _sign(conj) == 0:  # den = p + q*sqrt(R) with q*sqrt(R) = p
+            den = _scale(p, 2)
         else:
-            if upper is None or sign(bound - upper[0]) < 0:
-                upper = (bound, c.strict)
-            elif sign(bound - upper[0]) == 0 and c.strict:
-                upper = (bound, True)
-    if lower is None and upper is None:
-        return _ZERO
-    if lower is None:
-        return upper[0] - 1 if upper[1] else upper[0]
-    if upper is None:
-        return lower[0] + 1 if lower[1] else lower[0]
-    d = sign(upper[0] - lower[0])
-    if d < 0:
-        return None
-    if d == 0:
-        if lower[1] or upper[1]:
-            return None
-        return lower[0]
-    return (lower[0] + upper[0]) / 2
+            num, den = _mul(num, conj), _mul(den, conj)
+    return _decode(_scale(num, Fraction(1, den[0])))
 
 
 def sample_point(cons: Sequence[LinIneq], nvars: int) -> Optional[list[Scalar]]:
     """An exact feasible point, or None when the system is infeasible."""
-    system = _simplify(list(cons))
+    system = _simplify(_rows(cons))
     if system is None:
         return None
-    stages: list[tuple[int, list[LinIneq]]] = []
+    stages: list[tuple[int, list]] = []
     remaining = list(range(nvars))
-    current = system
     while remaining:
-        var = _pick_var(current, remaining)
+        var = _pick_var(system, remaining)
         remaining.remove(var)
-        stages.append((var, current))
-        current = _eliminate(current, var)
-        if current is None:
-            return None
-    values: list[Scalar] = [_ZERO] * nvars
-    assigned: list[int] = []
+        stages.append((var, system))
+        if remaining:
+            system = _eliminate(system, var)
+            if system is None:
+                return None
+    values: dict = {}
     for var, stage in reversed(stages):
-        reduced = stage
-        for done in assigned:
-            reduced = _subst(reduced, done, values[done])
-        v = _solve_univariate(reduced, var)
-        if v is None:
+        bounds = _interval(_substitute(stage, values), var)
+        if bounds is None:
             return None
-        values[var] = v
-        assigned.append(var)
+        values[var] = _choose(*bounds)
+    point = [_ZERO] * nvars
+    for var, (num, den) in values.items():
+        point[var] = _quotient(num, den)
     for c in cons:
-        if not c.satisfied(values):  # exact self-check, never expected to fire
+        if not c.satisfied(point):  # exact self-check, never expected to fire
             return None
-    return values
+    return point
 
 
 def implicit_equalities(cons: Sequence[LinIneq], nvars: int) -> list[int]:
@@ -577,60 +482,45 @@ def is_bounded(cons: Sequence[LinIneq], nvars: int) -> bool:
     return True
 
 
-def _fp_decode(val: dict) -> Scalar:
-    total: Scalar = Fraction(0)
-    for mask, n in sorted(val.items()):
-        term: Scalar = Fraction(n)
-        m = mask
-        while m:
-            low = m & -m
-            term = term * adjoin_sqrt(Fraction(_FP_RADICANDS[low.bit_length() - 1]))
-            m &= m - 1
-        total = total + term
-    return total
-
-
-def _fp_det(mat: list) -> dict:
-    if len(mat) == 1:
-        return mat[0][0]
-    if len(mat) == 2:
-        return _fp_sub(
-            _fp_mul(mat[0][0], mat[1][1]), _fp_mul(mat[0][1], mat[1][0])
-        )
+def _det(mat: list) -> dict:
+    """Determinant by cofactor expansion along the first row."""
+    if len(mat) <= 1:
+        return mat[0][0] if mat else {0: 1}
     out: dict = {}
-    for j in range(3):
-        minor = [[row[k] for k in range(3) if k != j] for row in mat[1:]]
-        term = _fp_mul(mat[0][j], _fp_det(minor))
-        out = _fp_add(out, term) if j != 1 else _fp_sub(out, term)
+    for j, a in enumerate(mat[0]):
+        if a:
+            term = _mul(a, _det([row[:j] + row[j + 1 :] for row in mat[1:]]))
+            out = _sub(out, term) if j % 2 else _add(out, term)
     return out
 
 
-def _fp_vertices(cons: Sequence[LinIneq], nvars: int) -> Optional[list[list[Scalar]]]:
-    if nvars > 3:
-        return None
-    rows = _fp_rows(cons)
-    if rows is None:
-        return None
-    systems = [ints for _, ints in rows]
+def vertices(cons: Sequence[LinIneq], nvars: int) -> list[list[Scalar]]:
+    """Vertices of the closure (all constraints read weakly).
+
+    Square subsystems of tight constraints are solved exactly by Cramer's
+    rule; solutions satisfying the whole weak system are collected
+    (deduplicated).
+    """
+    systems = [ints for _, ints in _rows(cons)]
     found: list[tuple[list[dict], dict]] = []
     out: list[list[Scalar]] = []
     for combo in combinations(range(len(systems)), nvars):
         mat = [systems[i][:nvars] for i in combo]
-        det = _fp_det(mat)
-        sd = _fp_sign(det)
+        det = _det(mat)
+        sd = _sign(det)
         if sd == 0:
             continue
-        rhs = [_fp_scale(systems[i][-1], -1) for i in combo]
+        rhs = [_scale(systems[i][-1], -1) for i in combo]
         nums = []
         for j in range(nvars):
             replaced = [row[:j] + [rhs[k]] + row[j + 1 :] for k, row in enumerate(mat)]
-            nums.append(_fp_det(replaced))
+            nums.append(_det(replaced))
         ok = True
         for ints in systems:
-            acc = _fp_mul(ints[-1], det)
+            acc = _mul(ints[-1], det)
             for j in range(nvars):
-                acc = _fp_add(acc, _fp_mul(ints[j], nums[j]))
-            if _fp_sign(acc) * sd < 0:
+                acc = _add(acc, _mul(ints[j], nums[j]))
+            if _sign(acc) * sd < 0:
                 ok = False
                 break
         if not ok:
@@ -638,7 +528,7 @@ def _fp_vertices(cons: Sequence[LinIneq], nvars: int) -> Optional[list[list[Scal
         duplicate = False
         for snums, sden in found:
             if all(
-                _fp_sign(_fp_sub(_fp_mul(nums[j], sden), _fp_mul(snums[j], det))) == 0
+                _sign(_sub(_mul(nums[j], sden), _mul(snums[j], det))) == 0
                 for j in range(nvars)
             ):
                 duplicate = True
@@ -646,35 +536,5 @@ def _fp_vertices(cons: Sequence[LinIneq], nvars: int) -> Optional[list[list[Scal
         if duplicate:
             continue
         found.append((nums, det))
-        dec = _fp_decode(det)
-        out.append([_fp_decode(n) / dec for n in nums])
+        out.append([_quotient(n, det) for n in nums])
     return out
-
-
-def vertices(cons: Sequence[LinIneq], nvars: int) -> list[list[Scalar]]:
-    """Vertices of the closure (all constraints read weakly).
-
-    Square subsystems of tight constraints are solved exactly; solutions
-    satisfying the whole weak system are collected (deduplicated).
-    """
-    if nvars == 0:
-        sat = all(sign(c.const) >= 0 for c in cons)
-        return [[]] if sat else []
-    fast = _fp_vertices(cons, nvars)
-    if fast is not None:
-        return fast
-    found: list[list[Scalar]] = []
-    for combo in combinations(range(len(cons)), nvars):
-        rows = [list(cons[i].coeffs) for i in combo]
-        rhs = [-cons[i].const for i in combo]
-        point = solve_square(rows, rhs)
-        if point is None:
-            continue
-        if not all(sign(c.value(point)) >= 0 for c in cons):
-            continue
-        if any(
-            all(sign(a - b) == 0 for a, b in zip(point, seen)) for seen in found
-        ):
-            continue
-        found.append(point)
-    return found

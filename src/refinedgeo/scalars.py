@@ -31,7 +31,6 @@ __all__ = [
     "scalar_float",
     "scalar_str",
     "sign",
-    "structural_key",
     "to_scalar",
 ]
 
@@ -59,15 +58,6 @@ def _sign_of(x: Scalar) -> int:
 def sign(x) -> int:
     """Exact sign in {-1, 0, +1}."""
     return _sign_of(to_scalar(x))
-
-
-def structural_key(x: Scalar):
-    """Hashable encoding of the expression tree.  Equal keys imply equal
-    values; distinct keys may still denote the same value, so this is only
-    a grouping accelerator, never a semantic equality test."""
-    if isinstance(x, Fraction):
-        return (x.numerator, x.denominator)
-    return ("q", structural_key(x.a), structural_key(x.b), structural_key(x.radicand))
 
 
 def _structural_eq(x: Scalar, y: Scalar) -> bool:

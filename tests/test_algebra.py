@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from refinedgeo.algebra import (
     ConventionalPolytope,
     RefinedPolytope,
+    area,
     closing,
     contains_point,
     difference,
@@ -25,6 +27,7 @@ from refinedgeo.algebra import (
     union,
 )
 from refinedgeo.cells import Cell, ClosedPiece
+from refinedgeo.equidecomp import polygon_lift
 from refinedgeo.errors import GeometryError
 from refinedgeo.linalg import AffineFunctional, Carrier, Vec, affine_hull, cross2, rank
 from refinedgeo.resolution import Flag, RefinedPoint, sample_refined_point
@@ -501,3 +504,33 @@ def test_area_certificate_matches_difference_path():
             assert got[0] == want[0], (trial, kind)
             assert got[1] == want[1], (trial, kind)
     assert kinds == {"none", "shift", "duplicate", "drop", "boundary", "merge"}
+
+
+def test_rotated_square_in_nested_tower_finishes():
+    """The square with corners (+-1, +-1) rotated by pi/8, with cos and sin
+    under different nested roots: sqrt(2+sqrt2)/2 and sqrt(2-sqrt2)/2.  A
+    20 s alarm turns a hang into a failure instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("rotated square in a nested tower took over 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        sqrt2 = adjoin_sqrt(2)
+        cos8 = adjoin_sqrt(2 + sqrt2) / 2
+        sin8 = adjoin_sqrt(2 - sqrt2) / 2
+        square = [
+            Vec(cos8 * x - sin8 * y, sin8 * x + cos8 * y)
+            for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))
+        ]
+        a = polygon_lift(square)
+        b = polygon_lift(square)
+        inter = intersect(a, b)
+        diff = difference(a, b)
+        assert partition_failure([inter, diff], a) is None
+        assert equals(union(inter, diff), a)
+        assert area(a) == 4
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -10,6 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from refinedgeo.errors import GeometryError
 from refinedgeo.fm import (
     LinIneq,
     affine_dim,
@@ -19,9 +22,21 @@ from refinedgeo.fm import (
     sample_point,
     vertices,
 )
-from refinedgeo.scalars import adjoin_sqrt, sign
+from refinedgeo.scalars import QuadExt, adjoin_sqrt, sign
 
 SQRT2 = adjoin_sqrt(2)
+SQRT3 = adjoin_sqrt(3)
+COS8 = adjoin_sqrt(2 + SQRT2)  # 2 cos(pi/8)
+SIN8 = adjoin_sqrt(2 - SQRT2)  # 2 sin(pi/8), a separate nested root
+# Units the coefficients draw on: rational, sqrt2/sqrt3, and one nested
+# root sqrt(2+-sqrt2) over sqrt2 (the two nested roots together are left to
+# the small systems below: their products nest each inside the other).
+UNITS = {
+    "rational": [],
+    "sqrt": [SQRT2, SQRT3],
+    "nested+": [SQRT2, COS8],
+    "nested-": [SQRT2, SIN8],
+}
 
 
 def ineq(coeffs, const, strict=False):
@@ -163,3 +178,117 @@ def test_strict_shrinks_feasibility():
     assert feasible(cons, 2)
     strictened = [LinIneq(c.coeffs, c.const, True) for c in cons]
     assert not feasible(strictened, 2)
+
+
+def _tower_scalar(rng, units, lo=-4, hi=4):
+    value = Fraction(rng.randint(lo, hi), rng.choice([1, 2, 3]))
+    if units and rng.random() < 0.6:
+        value = value + rng.randint(-2, 2) * rng.choice(units)
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_tower_systems_built_around_witness(kind):
+    rng = random.Random(f"witness-{kind}")
+    units = UNITS[kind]
+    for _ in range(40):
+        nvars = rng.choice([1, 2, 3])
+        witness = [_tower_scalar(rng, units, -3, 3) for _ in range(nvars)]
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
+            value = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+            margin = Fraction(rng.randint(0, 2))
+            cons.append(LinIneq(coeffs, -value + margin, strict=margin > 0))
+        assert feasible(cons, nvars)
+        point = sample_point(cons, nvars)
+        assert point is not None
+        for c in cons:
+            assert c.satisfied(point)
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_farkas_combinations_are_infeasible(kind):
+    # Rows r_1..r_k plus -sum(l_i r_i) - eps with l >= 0: at any point the
+    # rows would sum to -eps < 0, or to 0 with the added row strict.
+    rng = random.Random(f"farkas-{kind}")
+    units = UNITS[kind]
+    for _ in range(40):
+        nvars = rng.choice([1, 2, 3])
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
+            cons.append(LinIneq(coeffs, _tower_scalar(rng, units), rng.random() < 0.5))
+        lam = [Fraction(rng.randint(0, 2)) for _ in cons]
+        eps = Fraction(rng.randint(0, 1))
+        coeffs = [
+            -sum((l * c.coeffs[j] for l, c in zip(lam, cons)), Fraction(0))
+            for j in range(nvars)
+        ]
+        const = -sum((l * c.const for l, c in zip(lam, cons)), Fraction(0)) - eps
+        cons.append(LinIneq(coeffs, const, strict=eps == 0 or rng.random() < 0.5))
+        rng.shuffle(cons)
+        assert not feasible(cons, nvars)
+        assert sample_point(cons, nvars) is None
+
+
+def test_vertices_of_tower_triangle():
+    corners = [
+        (Fraction(0), Fraction(0)),
+        (COS8, Fraction(1, 2)),
+        (SIN8 - 1, 1 + SQRT2),
+    ]
+    cons = []
+    for i, (p, q) in enumerate(zip(corners, corners[1:] + corners[:1])):
+        r = corners[i - 1]
+        normal = (p[1] - q[1], q[0] - p[0])
+        const = -(normal[0] * p[0] + normal[1] * p[1])
+        if sign(normal[0] * r[0] + normal[1] * r[1] + const) < 0:
+            normal, const = (-normal[0], -normal[1]), -const
+        cons.append(LinIneq(list(normal), const, False))
+    vs = vertices(cons, 2)
+    assert len(vs) == 3
+    for x, y in corners:
+        assert sum(1 for v in vs if sign(v[0] - x) == 0 and sign(v[1] - y) == 0) == 1
+    point = sample_point([LinIneq(c.coeffs, c.const, True) for c in cons], 2)
+    assert point is not None
+
+
+@pytest.mark.parametrize(
+    "zero",
+    [
+        COS8 * SIN8 - SQRT2,  # sqrt(2+sqrt2) * sqrt(2-sqrt2) = sqrt2
+        2 * adjoin_sqrt(Fraction(1, 2)) - SQRT2,
+        2 * adjoin_sqrt(Fraction(1, 2) + SQRT2 / 4) - COS8,
+    ],
+    ids=["product", "rational-radicand", "nested-radicand"],
+)
+def test_coefficient_zero_despite_nonempty_encoding(zero):
+    assert sign(zero) == 0
+    # 0*x - 1 >= 0 is empty; 0*x + 1 > 0 holds everywhere.
+    assert not feasible([LinIneq([zero], -1, False)], 1)
+    assert feasible([LinIneq([zero], 1, True)], 1)
+    assert sample_point([LinIneq([zero], -1, False)], 1) is None
+    # x >= 0, y >= 0 and 0*x - y + 1 >= 0: the x-ray over the segment 0 <= y <= 1.
+    cons = [
+        ineq([1, 0], 0),
+        ineq([0, 1], 0),
+        LinIneq([zero, Fraction(-1)], 1, False),
+    ]
+    assert feasible(cons, 2)
+    point = sample_point(cons, 2)
+    assert point is not None and all(c.satisfied(point) for c in cons)
+    assert not is_bounded(cons, 2)
+    got = vertices(cons + [LinIneq([Fraction(-1), zero], 1, False)], 2)
+    assert len(got) == 4
+
+
+def test_nonpositive_radicand_is_rejected():
+    negative = QuadExt(Fraction(0), Fraction(1), Fraction(-2))
+    with pytest.raises(GeometryError):
+        feasible([LinIneq([negative], 1, False)], 1)
+    nested = QuadExt(Fraction(1), Fraction(1), SQRT2 - 2)
+    with pytest.raises(GeometryError):
+        sample_point([LinIneq([Fraction(1)], nested, False)], 1)
+    with pytest.raises(GeometryError):
+        vertices([LinIneq([nested, Fraction(1)], 0, False)], 2)
