@@ -4,12 +4,12 @@ A constraint is ``coeffs . x + const >= 0`` (weak) or ``> 0`` (strict).
 Systems live in the intrinsic coordinates of some carrier, so the ambient
 dimension here is the carrier dimension (desk scale: <= 3 variables).
 
-Every scalar the library builds lies in a tower of square roots, and the
-solver works in one encoding of that tower: a value is a sparse integer
-vector over the monomial basis of the square roots met so far, each radicand
-itself encoded over earlier roots.  Rows are cleared to integers, so
-elimination, substitution and Cramer's rule are integer arithmetic; signs
-come from the recursive norm rule; scalars are decoded only at the output.
+Every scalar lies in the square-root tower of ``scalars``, whose encoding is
+a sparse vector over the monomial basis of the tower's generators.  The
+solver reads that encoding directly and clears each row's denominators to
+integers, so elimination, substitution and Cramer's rule are integer
+arithmetic on the same vectors; signs come from the tower's recursive norm
+rule, and each output coordinate is one quotient of two vectors.
 Feasibility answers are definitive, and sample points and vertices are exact.
 """
 
@@ -20,9 +20,20 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import GeometryError
 from .linalg import AffineFunctional, Vec, rank
-from .scalars import Scalar, adjoin_sqrt, sign, to_scalar
+from .scalars import (
+    Scalar,
+    _add,
+    _inverse,
+    _mul,
+    _scalar,
+    _scale,
+    _sign,
+    _sub,
+    _terms,
+    sign,
+    to_scalar,
+)
 
 __all__ = [
     "LinIneq",
@@ -69,140 +80,10 @@ class LinIneq:
         return f"LinIneq({list(self.coeffs)!r} . x + {self.const!r} {op} 0)"
 
 
-# -- the tower encoding --------------------------------------------------------
-#
-# Generator i is sqrt(R_i) with R_i > 0.  A value is a sparse dict over the
-# monomial basis of the generators,
-#     value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m),
-# and each radicand R_i is an int or, for a nested root, such a dict over
-# generators below i.  Scalars are encoded radicand first, so that order
-# holds by construction.  The sign rule splits a value on its top generator
-# as p + q*sqrt(R) and compares p^2 with q^2*R; it never assumes that the
-# generators are independent (sqrt(2+sqrt2) and sqrt(2-sqrt2) get separate
-# bits although their product is sqrt2), so every sign is exact.  A
-# coefficient that is 0 with a nonempty encoding is caught by its sign.
-
-# The generators seen so far, in a process-wide registry so that row
-# encodings cached on functionals stay valid: the list only ever appends.
-_RADICANDS: list = []  # bit -> int, or encoded dict over lower bits
-_INDEX: dict = {}  # integer radicand, or its sorted items -> bit
-
-
-def _encode(x) -> dict:
-    """Sparse mask -> Fraction encoding of a scalar."""
-    if isinstance(x, Fraction):
-        return {0: x} if x else {}
-    r = _encode(x.radicand)
-    if _sign(r) <= 0:
-        raise GeometryError("square root of a nonpositive radicand")
-    # sqrt(R) = sqrt(R * D^2) / D with an integer radicand R * D^2.
-    d = 1
-    for v in r.values():
-        d = lcm(d, v.denominator)
-    r = {m: (v * d * d).numerator for m, v in r.items()}
-    key = r[0] if len(r) == 1 and 0 in r else tuple(sorted(r.items()))
-    bit = _INDEX.get(key)
-    if bit is None:
-        bit = len(_RADICANDS)
-        _INDEX[key] = bit
-        _RADICANDS.append(key if isinstance(key, int) else r)
-    root = {1 << bit: Fraction(1, d)}
-    return _add(_encode(x.a), _mul(_encode(x.b), root))
-
-
-def _decode(val: dict) -> Scalar:
-    """The scalar p + q*sqrt(R) of a value split on its top generator, with
-    that generator outermost as in the tower."""
-    if not val:
-        return _ZERO
-    top = max(val).bit_length() - 1
-    if top < 0:
-        return Fraction(val[0])
-    flag = 1 << top
-    p = {m: v for m, v in val.items() if not m & flag}
-    q = {m & ~flag: v for m, v in val.items() if m & flag}
-    r = _RADICANDS[top]
-    root = adjoin_sqrt(r if isinstance(r, int) else _decode(r))
-    return root * _decode(q) + _decode(p)
-
-
-def _sign(val: dict) -> int:
-    if not val:
-        return 0
-    top = max(val).bit_length() - 1
-    if top < 0:
-        return 1 if val[0] > 0 else -1
-    flag = 1 << top
-    p = {m: v for m, v in val.items() if not m & flag}
-    q = {m & ~flag: v for m, v in val.items() if m & flag}
-    sp = _sign(p)
-    sq = _sign(q)
-    if sq == 0:
-        return sp
-    if sp == 0 or sp == sq:
-        return sq
-    r = _RADICANDS[top]
-    qq = _mul(q, q)
-    qqr = _scale(qq, r) if isinstance(r, int) else _mul(qq, r)
-    return sp * _sign(_sub(_mul(p, p), qqr))
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, va in a.items():
-        for mb, vb in b.items():
-            v = va * vb
-            m = ma ^ mb
-            common = ma & mb
-            nested = None  # product of the nested radicands met
-            while common:
-                r = _RADICANDS[(common & -common).bit_length() - 1]
-                if isinstance(r, int):
-                    v *= r
-                else:
-                    nested = r if nested is None else _mul(nested, r)
-                common &= common - 1
-            if nested is None:
-                cur = out.get(m)
-                out[m] = v if cur is None else cur + v
-            else:
-                for mt, vt in _mul({m: v}, nested).items():
-                    out[mt] = out.get(mt, 0) + vt
-    return {m: v for m, v in out.items() if v}
-
-
-def _scale(a: dict, factor) -> dict:
-    return {m: v * factor for m, v in a.items()} if factor else {}
-
-
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, v in b.items():
-        cur = out.get(m, 0)
-        cur -= v
-        if cur:
-            out[m] = cur
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, v in b.items():
-        cur = out.get(m, 0)
-        cur += v
-        if cur:
-            out[m] = cur
-        else:
-            out.pop(m, None)
-    return out
-
-
 def _encode_row(c: LinIneq) -> list:
     """Integer sparse encoding of one row: coefficients, then the constant."""
-    encoded = [_encode(s) for s in c.coeffs]
-    encoded.append(_encode(c.const))
+    encoded = [_terms(s) for s in c.coeffs]
+    encoded.append(_terms(c.const))
     d = 1
     for e in encoded:
         for v in e.values():
@@ -387,20 +268,6 @@ def _choose(lo, hi) -> tuple:
     return num, _scale(_mul(lo[1], hi[1]), 2)
 
 
-def _quotient(num: dict, den: dict) -> Scalar:
-    """The scalar num/den: den is made rational by multiplying through with
-    its conjugate on the top generator, then num is decoded over it."""
-    while max(den):
-        flag = 1 << (max(den).bit_length() - 1)
-        p = {m: v for m, v in den.items() if not m & flag}
-        conj = _sub(p, {m: v for m, v in den.items() if m & flag})
-        if _sign(conj) == 0:  # den = p + q*sqrt(R) with q*sqrt(R) = p
-            den = _scale(p, 2)
-        else:
-            num, den = _mul(num, conj), _mul(den, conj)
-    return _decode(_scale(num, Fraction(1, den[0])))
-
-
 def sample_point(cons: Sequence[LinIneq], nvars: int) -> Optional[list[Scalar]]:
     """An exact feasible point, or None when the system is infeasible."""
     system = _simplify(_rows(cons))
@@ -424,7 +291,7 @@ def sample_point(cons: Sequence[LinIneq], nvars: int) -> Optional[list[Scalar]]:
         values[var] = _choose(*bounds)
     point = [_ZERO] * nvars
     for var, (num, den) in values.items():
-        point[var] = _quotient(num, den)
+        point[var] = _scalar(_mul(num, _inverse(den)))
     for c in cons:
         if not c.satisfied(point):  # exact self-check, never expected to fire
             return None
@@ -536,5 +403,6 @@ def vertices(cons: Sequence[LinIneq], nvars: int) -> list[list[Scalar]]:
         if duplicate:
             continue
         found.append((nums, det))
-        out.append([_quotient(n, det) for n in nums])
+        inv = _inverse(det)
+        out.append([_scalar(_mul(n, inv)) for n in nums])
     return out

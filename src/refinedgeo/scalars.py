@@ -1,12 +1,14 @@
-"""Exact scalar arithmetic: rationals extended by nested square roots.
+"""Exact scalar arithmetic: rationals extended by a tower of square roots.
 
-A scalar is either a ``fractions.Fraction`` or a ``QuadExt`` node denoting
-``a + b*sqrt(r)`` whose coefficients ``a``, ``b`` and radicand ``r`` are
-themselves scalars.  The tower grows on demand (``adjoin_sqrt``) and mixes
-freely: arithmetic between values from different extensions nests one tree
-inside the other's coefficients.  Every comparison bottoms out in the exact
-recursive sign rule; no floating point ever participates in a decision.
-``float()`` exists for rendering only.
+A scalar is either a ``fractions.Fraction`` or a ``QuadExt``.  Every square
+root the library meets is a generator sqrt(R_i) of one tower, each radicand
+R_i a positive integer or a value encoded over earlier generators, and a
+``QuadExt`` is a sparse vector over the monomial basis of those generators.
+Arithmetic multiplies monomials and folds a repeated generator into its
+radicand, so a generator never sits below itself.  New generators come only
+from ``adjoin_sqrt``.  Every comparison bottoms out in the exact recursive
+sign rule; no floating point ever participates in a decision.  ``float()``
+exists for rendering only.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "to_scalar",
 ]
 
+_ZERO = Fraction(0)
+
 
 def to_scalar(x) -> Scalar:
     """Coerce ``x`` to a Scalar.  Floats are rejected: they are not exact."""
@@ -48,11 +52,158 @@ def to_scalar(x) -> Scalar:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+# -- the tower encoding --------------------------------------------------------
+#
+# Generator i is sqrt(R_i) with R_i > 0.  A value is a sparse dict over the
+# monomial basis of the generators,
+#     value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m),
+# and each radicand R_i is an int or, for a nested root, an integer dict over
+# generators below i.  adjoin_sqrt encodes a radicand before it registers
+# the root, so that order holds by construction.  The sign rule splits a
+# value on its top generator as p + q*sqrt(R) and compares p^2 with q^2*R;
+# it never assumes that the generators are independent (sqrt(2+sqrt2) and
+# sqrt(2-sqrt2) get separate bits although their product is sqrt2), so every
+# sign is exact.  A value that is 0 with a nonempty encoding is caught by its
+# sign.  Scalars carry Fraction coefficients; fm clears its rows to integers
+# and runs the same helpers on them.
+
+# The generators seen so far.  The registry is process-wide and only ever
+# appends, so encodings cached on functionals stay valid.
+_RADICANDS: list = []  # bit -> int, or integer dict over lower bits
+_INDEX: dict = {}  # integer radicand, or its sorted items -> bit
+
+
+def _split(val: dict, top: int) -> tuple[dict, dict]:
+    """(p, q) with val = p + q*sqrt(R_top), both free of generator ``top``."""
+    flag = 1 << top
+    p = {m: v for m, v in val.items() if not m & flag}
+    q = {m & ~flag: v for m, v in val.items() if m & flag}
+    return p, q
+
+
+def _sign(val: dict) -> int:
+    if not val:
+        return 0
+    top = max(val).bit_length() - 1
+    if top < 0:
+        return 1 if val[0] > 0 else -1
+    p, q = _split(val, top)
+    sp = _sign(p)
+    sq = _sign(q)
+    if sq == 0:
+        return sp
+    if sp == 0 or sp == sq:
+        return sq
+    r = _RADICANDS[top]
+    qq = _mul(q, q)
+    qqr = _scale(qq, r) if isinstance(r, int) else _mul(qq, r)
+    return sp * _sign(_sub(_mul(p, p), qqr))
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, va in a.items():
+        for mb, vb in b.items():
+            v = va * vb
+            m = ma ^ mb
+            common = ma & mb
+            nested = None  # product of the nested radicands met
+            while common:
+                r = _RADICANDS[(common & -common).bit_length() - 1]
+                if isinstance(r, int):
+                    v *= r
+                else:
+                    nested = r if nested is None else _mul(nested, r)
+                common &= common - 1
+            if nested is None:
+                cur = out.get(m)
+                out[m] = v if cur is None else cur + v
+            else:
+                for mt, vt in _mul({m: v}, nested).items():
+                    out[mt] = out.get(mt, 0) + vt
+    return {m: v for m, v in out.items() if v}
+
+
+def _scale(a: dict, factor) -> dict:
+    return {m: v * factor for m, v in a.items()} if factor else {}
+
+
+def _sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, v in b.items():
+        cur = out.get(m, 0)
+        cur -= v
+        if cur:
+            out[m] = cur
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, v in b.items():
+        cur = out.get(m, 0)
+        cur += v
+        if cur:
+            out[m] = cur
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _inverse(den: dict) -> dict:
+    """1/den: den is made rational by multiplying through with its
+    conjugate on the top generator, one generator at a time."""
+    num: dict = {0: 1}
+    while den and max(den):
+        flag = 1 << (max(den).bit_length() - 1)
+        conj = {m: -v if m & flag else v for m, v in den.items()}
+        if _sign(conj) == 0:  # den = p + q*sqrt(R) with q*sqrt(R) = p
+            den = {m: 2 * v for m, v in den.items() if not m & flag}
+        else:
+            num, den = _mul(num, conj), _mul(den, conj)
+    # A zero value stays zero through every step and ends as {}.
+    if not den:
+        raise ZeroDivisionError("division by zero scalar")
+    return _scale(num, Fraction(1, den[0]))
+
+
+def _terms(x) -> Optional[dict]:
+    """The encoding of an exact operand; None for anything else."""
+    if isinstance(x, QuadExt):
+        return x.terms
+    if isinstance(x, Fraction):
+        return {0: x} if x else {}
+    if isinstance(x, int) and not isinstance(x, bool):
+        return {0: Fraction(x)} if x else {}
+    return None
+
+
+def _scalar(terms: dict) -> Scalar:
+    """The scalar of an encoding: a Fraction once no generator is left."""
+    if not terms:
+        return _ZERO
+    if len(terms) == 1 and 0 in terms:
+        return terms[0]
+    return QuadExt(terms)
+
+
+def _radicand(bit: int) -> Scalar:
+    r = _RADICANDS[bit]
+    if isinstance(r, int):
+        return Fraction(r)
+    return _scalar({m: Fraction(v) for m, v in r.items()})
+
+
 def _sign_of(x: Scalar) -> int:
     if isinstance(x, Fraction):
         n = x.numerator
         return (n > 0) - (n < 0)
-    return x._sign_value()
+    s = x._sgn
+    if s is None:
+        s = x._sgn = _sign(x.terms)
+    return s
 
 
 def sign(x) -> int:
@@ -60,148 +211,73 @@ def sign(x) -> int:
     return _sign_of(to_scalar(x))
 
 
-def _structural_eq(x: Scalar, y: Scalar) -> bool:
-    # Fast syntactic check; semantic equality is always sign(x - y) == 0.
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    if isinstance(x, QuadExt) and isinstance(y, QuadExt):
-        return (
-            _structural_eq(x.radicand, y.radicand)
-            and _structural_eq(x.a, y.a)
-            and _structural_eq(x.b, y.b)
-        )
-    return False
-
-
-def _mk(a: Scalar, b: Scalar, r: Scalar) -> Scalar:
-    if _sign_of(b) == 0:
-        return a
-    return QuadExt(a, b, r)
-
-
 class QuadExt:
-    """One quadratic-tower level: the value ``a + b*sqrt(radicand)``.
+    """An irrational scalar: a sparse vector over the tower's monomial basis.
 
-    Instances are immutable and deliberately unhashable: distinct trees can
-    denote the same value, so no hash can agree with ``==``.  Code that
+    ``terms`` maps a bitmask of generators to a nonzero Fraction and holds
+    at least one generator; a result with none left is a Fraction instead.
+    Its value can still be 0 (sqrt2*sqrt3 - sqrt6), which its sign shows.
+    Instances are immutable and deliberately unhashable: distinct encodings
+    can denote the same value, so no hash can agree with ``==``.  Code that
     groups scalars scans lists with exact equality instead of using dicts.
     """
 
-    __slots__ = ("a", "b", "radicand", "_sign")
+    __slots__ = ("terms", "_sgn")
 
-    def __init__(self, a: Scalar, b: Scalar, radicand: Scalar):
-        self.a = a
-        self.b = b
-        self.radicand = radicand
-        self._sign: Optional[int] = None
-
-    # -- sign ------------------------------------------------------------
-
-    def _sign_value(self) -> int:
-        if self._sign is None:
-            sa = _sign_of(self.a)
-            sb = _sign_of(self.b)
-            if sb == 0:
-                s = sa
-            elif sa == 0:
-                s = sb
-            elif sa == sb:
-                s = sa
-            else:
-                # Opposite signs: compare a^2 against b^2 * r; the norm
-                # a^2 - b^2 r carries the verdict and drops this radical.
-                sn = _sign_of(self.a * self.a - self.b * self.b * self.radicand)
-                s = 0 if sn == 0 else sa * sn
-            self._sign = s
-        return self._sign
-
-    # -- coercion ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> Optional[Scalar]:
-        if isinstance(x, (QuadExt, Fraction)):
-            return x
-        if isinstance(x, bool):
-            return None
-        if isinstance(x, int):
-            return Fraction(x)
-        return None
+    def __init__(self, terms: dict):
+        self.terms = terms
+        self._sgn: Optional[int] = None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, QuadExt) and _structural_eq(o.radicand, self.radicand):
-            return _mk(self.a + o.a, self.b + o.b, self.radicand)
-        return _mk(self.a + o, self.b, self.radicand)
+        return _scalar(_add(self.terms, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.radicand)
+        return QuadExt({m: -v for m, v in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        return _scalar(_sub(self.terms, o))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        return (-self).__add__(o)
+        return _scalar(_sub(o, self.terms))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, QuadExt) and _structural_eq(o.radicand, self.radicand):
-            r = self.radicand
-            return _mk(
-                self.a * o.a + self.b * o.b * r,
-                self.a * o.b + self.b * o.a,
-                r,
-            )
-        return _mk(self.a * o, self.b * o, self.radicand)
+        return _scalar(_mul(self.terms, o))
 
     __rmul__ = __mul__
 
-    # -- division ------------------------------------------------------------
-
-    def _inverse(self) -> Scalar:
-        norm = self.a * self.a - self.b * self.b * self.radicand
-        if _sign_of(norm) == 0:
-            if self._sign_value() == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            # a^2 == b^2 r with a nonzero value forces a == b*sqrt(r),
-            # so the value equals 2a exactly.
-            return _invert(self.a + self.a)
-        return _mk(self.a, -self.b, self.radicand) * _invert(norm)
-
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Fraction):
-            if o == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return _mk(self.a / o, self.b / o, self.radicand)
-        return self * o._inverse()
+        return _scalar(_mul(self.terms, _inverse(o)))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        return o * self._inverse()
+        return _scalar(_mul(o, _inverse(self.terms)))
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         if n < 0:
-            return self._inverse() ** (-n)
+            return _scalar(_inverse(self.terms)) ** (-n)
         result: Scalar = Fraction(1)
         base: Scalar = self
         while n:
@@ -213,54 +289,46 @@ class QuadExt:
 
     # -- order ---------------------------------------------------------------
 
+    def _cmp(self, other) -> Optional[int]:
+        o = _terms(other)
+        return None if o is None else _sign(_sub(self.terms, o))
+
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) == 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s == 0
 
     def __ne__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) != 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s != 0
 
     __hash__ = None  # type: ignore[assignment]
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) < 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) <= 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) > 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of(self - o) >= 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s >= 0
 
     def __bool__(self) -> bool:
-        return self._sign_value() != 0
+        return _sign_of(self) != 0
 
     def __abs__(self):
-        return -self if self._sign_value() < 0 else self
+        return -self if _sign_of(self) < 0 else self
 
     # -- rendering only --------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(max(0.0, float(self.radicand)))
+        return _float(self.terms)
 
     def __str__(self) -> str:
         return scalar_str(self)
@@ -269,22 +337,26 @@ class QuadExt:
         return scalar_str(self)
 
 
-def _invert(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Fraction(1) / x
-    return x._inverse()
+def _float(val: dict) -> float:
+    if not val:
+        return 0.0
+    top = max(val).bit_length() - 1
+    if top < 0:
+        return float(val[0])
+    p, q = _split(val, top)
+    r = _RADICANDS[top]
+    root = math.sqrt(max(0.0, float(r) if isinstance(r, int) else _float(r)))
+    return _float(p) + _float(q) * root
 
 
 # -- square roots ---------------------------------------------------------------
 
 
 def exact_sqrt(x: Scalar) -> Optional[Scalar]:
-    """Square root of ``x`` inside the tower visible in its own tree.
+    """Square root of ``x`` over the generators ``x`` already uses.
 
     Returns None when no such presentation exists (the caller then adjoins a
-    fresh radical).  Denesting is limited to the visible tower on purpose;
+    fresh generator).  Denesting is limited to that tower on purpose;
     general algebraic-number normalization is out of scope.
     """
     if isinstance(x, Fraction):
@@ -295,24 +367,25 @@ def exact_sqrt(x: Scalar) -> Optional[Scalar]:
         if num * num == x.numerator and den * den == x.denominator:
             return Fraction(num, den)
         return None
-    if x._sign_value() < 0:
+    if _sign_of(x) < 0:
         return None
-    a, b, r = x.a, x.b, x.radicand
-    if _sign_of(b) == 0:
-        return exact_sqrt(a)
+    top = max(x.terms).bit_length() - 1
+    p, q = _split(x.terms, top)
+    a, b, r = _scalar(p), _scalar(q), _radicand(top)
     # Candidate sqrt(x) = c + d*sqrt(r): then a = c^2 + d^2 r, b = 2cd, and
     # the norm a^2 - b^2 r must be a perfect square (c^2 - d^2 r)^2.
     n = a * a - b * b * r
     if _sign_of(n) >= 0:
         sn = exact_sqrt(n)
         if sn is not None:
+            root = QuadExt({1 << top: Fraction(1)})
             for c_sq in ((a + sn) / 2, (a - sn) / 2):
                 if _sign_of(c_sq) <= 0:
                     continue
                 c = exact_sqrt(c_sq)
                 if c is None or _sign_of(c) == 0:
                     continue
-                cand = _mk(c, b / (c + c), r)
+                cand = c + b / (c + c) * root
                 if _sign_of(cand) < 0:
                     cand = -cand
                 if _sign_of(cand * cand - x) == 0:
@@ -323,20 +396,33 @@ def exact_sqrt(x: Scalar) -> Optional[Scalar]:
 def adjoin_sqrt(x) -> Scalar:
     """Exact nonnegative square root, growing the tower when needed.
 
-    Perfect squares of the visible tower come back as existing scalars
-    (``adjoin_sqrt(4) == 2``); otherwise a fresh extension node is returned
-    whose square is exactly ``x``.  Negative input is an error.
+    Perfect squares over the generators of ``x`` come back as existing
+    scalars (``adjoin_sqrt(4) == 2``); otherwise the root is a multiple of a
+    generator whose square is exactly ``x`` up to a rational square.  This
+    is the only way a generator is made.  Negative input is an error.
     """
     x = to_scalar(x)
     s = _sign_of(x)
     if s < 0:
         raise GeometryError("adjoin_sqrt of a negative scalar")
     if s == 0:
-        return Fraction(0)
+        return _ZERO
     root = exact_sqrt(x)
     if root is not None:
         return root
-    return QuadExt(Fraction(0), Fraction(1), x)
+    r = _terms(x)
+    # sqrt(R) = sqrt(R * D^2) / D with an integer radicand R * D^2.
+    d = 1
+    for v in r.values():
+        d = math.lcm(d, v.denominator)
+    r = {m: (v * d * d).numerator for m, v in r.items()}
+    key = r[0] if len(r) == 1 and 0 in r else tuple(sorted(r.items()))
+    bit = _INDEX.get(key)
+    if bit is None:
+        bit = len(_RADICANDS)
+        _INDEX[key] = bit
+        _RADICANDS.append(key if isinstance(key, int) else r)
+    return QuadExt({1 << bit: Fraction(1, d)})
 
 
 # -- integer rounding (exact, float-assisted only as a starting hint) -------------
@@ -449,19 +535,23 @@ def parse_scalar(text: str) -> Scalar:
 def scalar_str(x) -> str:
     """Serialize to the literal grammar with no internal spaces.
 
+    The value is split on its top generator as ``p + q*sqrt(R)``, so
     ``parse_scalar(scalar_str(x)) == x`` always holds (value equality; the
-    tree shape may differ).
+    encoding may differ).
     """
     x = to_scalar(x)
     if isinstance(x, Fraction):
         return str(x)
-    root = f"sqrt({scalar_str(x.radicand)})"
-    sb = _sign_of(x.b)
-    mag = -x.b if sb < 0 else x.b
+    top = max(x.terms).bit_length() - 1
+    p, q = _split(x.terms, top)
+    a, b = _scalar(p), _scalar(q)
+    root = f"sqrt({scalar_str(_radicand(top))})"
+    sb = _sign_of(b)
+    mag = -b if sb < 0 else b
     if isinstance(mag, Fraction):
         term = root if mag == 1 else f"{mag}*{root}"
     else:
         term = f"({scalar_str(mag)})*{root}"
-    if _sign_of(x.a) == 0:
+    if _sign_of(a) == 0:
         return f"-{term}" if sb < 0 else term
-    return f"{scalar_str(x.a)}{'-' if sb < 0 else '+'}{term}"
+    return f"{scalar_str(a)}{'-' if sb < 0 else '+'}{term}"

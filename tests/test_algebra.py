@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
+from conftest import deadline
 
 from refinedgeo.algebra import (
     ConventionalPolytope,
@@ -509,14 +509,8 @@ def test_area_certificate_matches_difference_path():
 def test_rotated_square_in_nested_tower_finishes():
     """The square with corners (+-1, +-1) rotated by pi/8, with cos and sin
     under different nested roots: sqrt(2+sqrt2)/2 and sqrt(2-sqrt2)/2.  A
-    20 s alarm turns a hang into a failure instead of stalling the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("rotated square in a nested tower took over 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    try:
+    20 s deadline turns a hang into a failure instead of stalling the suite."""
+    with deadline(20, "rotated square in a nested tower"):
         sqrt2 = adjoin_sqrt(2)
         cos8 = adjoin_sqrt(2 + sqrt2) / 2
         sin8 = adjoin_sqrt(2 - sqrt2) / 2
@@ -531,6 +525,3 @@ def test_rotated_square_in_nested_tower_finishes():
         assert partition_failure([inter, diff], a) is None
         assert equals(union(inter, diff), a)
         assert area(a) == 4
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)

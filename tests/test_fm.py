@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import deadline
 
 from refinedgeo.errors import GeometryError
 from refinedgeo.fm import (
@@ -22,20 +23,20 @@ from refinedgeo.fm import (
     sample_point,
     vertices,
 )
-from refinedgeo.scalars import QuadExt, adjoin_sqrt, sign
+from refinedgeo.scalars import adjoin_sqrt, parse_scalar, sign
 
 SQRT2 = adjoin_sqrt(2)
 SQRT3 = adjoin_sqrt(3)
 COS8 = adjoin_sqrt(2 + SQRT2)  # 2 cos(pi/8)
 SIN8 = adjoin_sqrt(2 - SQRT2)  # 2 sin(pi/8), a separate nested root
-# Units the coefficients draw on: rational, sqrt2/sqrt3, and one nested
-# root sqrt(2+-sqrt2) over sqrt2 (the two nested roots together are left to
-# the small systems below: their products nest each inside the other).
+# Units the coefficients draw on: rational, sqrt2/sqrt3, one nested root
+# sqrt(2+-sqrt2) over sqrt2, and both nested roots together.
 UNITS = {
     "rational": [],
     "sqrt": [SQRT2, SQRT3],
     "nested+": [SQRT2, COS8],
     "nested-": [SQRT2, SIN8],
+    "mixed": [SQRT2, COS8, SIN8],
 }
 
 
@@ -191,20 +192,21 @@ def _tower_scalar(rng, units, lo=-4, hi=4):
 def test_tower_systems_built_around_witness(kind):
     rng = random.Random(f"witness-{kind}")
     units = UNITS[kind]
-    for _ in range(40):
-        nvars = rng.choice([1, 2, 3])
-        witness = [_tower_scalar(rng, units, -3, 3) for _ in range(nvars)]
-        cons = []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
-            value = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
-            margin = Fraction(rng.randint(0, 2))
-            cons.append(LinIneq(coeffs, -value + margin, strict=margin > 0))
-        assert feasible(cons, nvars)
-        point = sample_point(cons, nvars)
-        assert point is not None
-        for c in cons:
-            assert c.satisfied(point)
+    with deadline(20, f"witness-built {kind} systems"):
+        for _ in range(40):
+            nvars = rng.choice([1, 2, 3])
+            witness = [_tower_scalar(rng, units, -3, 3) for _ in range(nvars)]
+            cons = []
+            for _ in range(rng.randint(1, 6)):
+                coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
+                value = sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+                margin = Fraction(rng.randint(0, 2))
+                cons.append(LinIneq(coeffs, -value + margin, strict=margin > 0))
+            assert feasible(cons, nvars)
+            point = sample_point(cons, nvars)
+            assert point is not None
+            for c in cons:
+                assert c.satisfied(point)
 
 
 @pytest.mark.parametrize("kind", sorted(UNITS))
@@ -213,23 +215,24 @@ def test_farkas_combinations_are_infeasible(kind):
     # rows would sum to -eps < 0, or to 0 with the added row strict.
     rng = random.Random(f"farkas-{kind}")
     units = UNITS[kind]
-    for _ in range(40):
-        nvars = rng.choice([1, 2, 3])
-        cons = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
-            cons.append(LinIneq(coeffs, _tower_scalar(rng, units), rng.random() < 0.5))
-        lam = [Fraction(rng.randint(0, 2)) for _ in cons]
-        eps = Fraction(rng.randint(0, 1))
-        coeffs = [
-            -sum((l * c.coeffs[j] for l, c in zip(lam, cons)), Fraction(0))
-            for j in range(nvars)
-        ]
-        const = -sum((l * c.const for l, c in zip(lam, cons)), Fraction(0)) - eps
-        cons.append(LinIneq(coeffs, const, strict=eps == 0 or rng.random() < 0.5))
-        rng.shuffle(cons)
-        assert not feasible(cons, nvars)
-        assert sample_point(cons, nvars) is None
+    with deadline(20, f"Farkas {kind} systems"):
+        for _ in range(40):
+            nvars = rng.choice([1, 2, 3])
+            cons = []
+            for _ in range(rng.randint(1, 5)):
+                coeffs = [_tower_scalar(rng, units) for _ in range(nvars)]
+                cons.append(LinIneq(coeffs, _tower_scalar(rng, units), rng.random() < 0.5))
+            lam = [Fraction(rng.randint(0, 2)) for _ in cons]
+            eps = Fraction(rng.randint(0, 1))
+            coeffs = [
+                -sum((l * c.coeffs[j] for l, c in zip(lam, cons)), Fraction(0))
+                for j in range(nvars)
+            ]
+            const = -sum((l * c.const for l, c in zip(lam, cons)), Fraction(0)) - eps
+            cons.append(LinIneq(coeffs, const, strict=eps == 0 or rng.random() < 0.5))
+            rng.shuffle(cons)
+            assert not feasible(cons, nvars)
+            assert sample_point(cons, nvars) is None
 
 
 def test_vertices_of_tower_triangle():
@@ -284,11 +287,13 @@ def test_coefficient_zero_despite_nonempty_encoding(zero):
 
 
 def test_nonpositive_radicand_is_rejected():
-    negative = QuadExt(Fraction(0), Fraction(1), Fraction(-2))
-    with pytest.raises(GeometryError):
-        feasible([LinIneq([negative], 1, False)], 1)
-    nested = QuadExt(Fraction(1), Fraction(1), SQRT2 - 2)
-    with pytest.raises(GeometryError):
-        sample_point([LinIneq([Fraction(1)], nested, False)], 1)
-    with pytest.raises(GeometryError):
-        vertices([LinIneq([nested, Fraction(1)], 0, False)], 2)
+    # adjoin_sqrt is the only way to make a root, so no scalar can carry a
+    # negative radicand for fm to meet.
+    for make in (
+        lambda: adjoin_sqrt(-2),
+        lambda: adjoin_sqrt(SQRT2 - 2),
+        lambda: parse_scalar("sqrt(-2)"),
+        lambda: parse_scalar("sqrt(sqrt(2)-2)"),
+    ):
+        with pytest.raises(GeometryError):
+            make()

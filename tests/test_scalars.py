@@ -31,6 +31,8 @@ from refinedgeo.scalars import (
 
 SQRT2 = adjoin_sqrt(2)
 SQRT3 = adjoin_sqrt(3)
+COS8 = adjoin_sqrt(2 + SQRT2)  # 2 cos(pi/8)
+SIN8 = adjoin_sqrt(2 - SQRT2)  # 2 sin(pi/8)
 
 
 # -- golden cases ------------------------------------------------------------
@@ -96,6 +98,16 @@ def test_cross_presentation_identities():
     assert adjoin_sqrt(8) == 2 * SQRT2
     assert (SQRT2 + SQRT3) ** 2 == 5 + 2 * adjoin_sqrt(6)
     assert adjoin_sqrt(Fraction(1, 2)) * SQRT2 == 1
+
+
+def test_cross_root_identities():
+    # sqrt(2+sqrt2) * sqrt(2-sqrt2) = sqrt(4-2) = sqrt2, although the two
+    # nested roots are separate generators.
+    assert sign(COS8 * SIN8 - SQRT2) == 0
+    assert COS8 * SIN8 == SQRT2
+    den = COS8 - SIN8
+    assert (1 / den) * den == 1
+    assert sign(COS8 ** 2 + SIN8 ** 2 - 4) == 0
 
 
 def test_visible_tower_denesting():
@@ -177,6 +189,9 @@ def test_parse_scalar_negative_radicand():
         (SQRT2 + SQRT3) / 5,
         adjoin_sqrt(3 + SQRT2),
         (1 - adjoin_sqrt(3 + SQRT2)) * SQRT3,
+        (1 + COS8) / (SIN8 - SQRT2),
+        COS8 * SIN8 - SQRT3 * COS8,
+        SIN8 / 2 - COS8 * SQRT3 / 7,
     ],
 )
 def test_scalar_str_round_trip(value):
