@@ -283,6 +283,7 @@ class Cell:
         cell = Cell.from_ambient(carrier, moved)
         if cell is None:  # translation cannot introduce emptiness
             raise GeometryError("translation produced an inconsistent cell")
+        cell._empty = self._empty
         return cell
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":

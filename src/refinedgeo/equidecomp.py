@@ -116,17 +116,31 @@ class Motion:
     def apply_refined_point(self, rp: RefinedPoint) -> RefinedPoint:
         return RefinedPoint(self.apply_vec(rp.position), self.apply_flag(rp.flag))
 
+    def _apply_functional(self, xi: AffineFunctional) -> AffineFunctional:
+        """The ambient functional whose value at m(x) is xi's value at x."""
+        linear = self.apply_direction(xi.linear)
+        return AffineFunctional(linear, xi.constant - linear.dot(self.translation))
+
     def apply_cell(self, cell: Cell) -> Cell:
+        carrier = cell.carrier
+        if carrier.dim == carrier.ambient_dim:
+            # The plane maps onto itself and its intrinsic coordinates are
+            # the ambient ones, so the constraints map directly.
+            out = Cell(carrier, [self._apply_functional(xi) for xi in cell.constraints])
+        else:
+            out = self._apply_cell_via_carrier(cell)
+        # A rigid motion is a bijection, so the image is empty iff the cell is.
+        out._empty = cell._empty
+        return out
+
+    def _apply_cell_via_carrier(self, cell: Cell) -> Cell:
+        """The general map: move the carrier, then restrict the moved
+        ambient constraints to it."""
         carrier = Carrier(
             self.apply_vec(cell.carrier.base),
             [self.apply_direction(b) for b in cell.carrier.basis],
         )
-        moved = []
-        for amb in cell.ambient_constraints():
-            linear = self.apply_direction(amb.linear)
-            moved.append(
-                AffineFunctional(linear, amb.constant - linear.dot(self.translation))
-            )
+        moved = [self._apply_functional(amb) for amb in cell.ambient_constraints()]
         out = Cell.from_ambient(carrier, moved)
         if out is None:  # rigid motions cannot introduce emptiness
             raise GeometryError("motion produced an inconsistent cell")

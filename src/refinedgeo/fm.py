@@ -8,8 +8,10 @@ Every scalar lies in the square-root tower of ``scalars``, whose encoding is
 a sparse vector over the monomial basis of the tower's generators.  The
 solver reads that encoding directly and clears each row's denominators to
 integers, so elimination, substitution and Cramer's rule are integer
-arithmetic on the same vectors; signs come from the tower's recursive norm
-rule, and each output coordinate is one quotient of two vectors.
+arithmetic on the same vectors.  Signs come from the tower's exact integer
+enclosure, with no float used; the recursive norm rule decides only when
+the enclosure contains 0.  Each output coordinate is one quotient of two
+vectors.
 Feasibility answers are definitive, and sample points and vertices are exact.
 """
 

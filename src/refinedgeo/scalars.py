@@ -6,9 +6,11 @@ R_i a positive integer or a value encoded over earlier generators, and a
 ``QuadExt`` is a sparse vector over the monomial basis of those generators.
 Arithmetic multiplies monomials and folds a repeated generator into its
 radicand, so a generator never sits below itself.  New generators come only
-from ``adjoin_sqrt``.  Every comparison bottoms out in the exact recursive
-sign rule; no floating point ever participates in a decision.  ``float()``
-exists for rendering only.
+from ``adjoin_sqrt``.  A sign is read from an exact integer enclosure of the
+value (integer square roots at a fixed 2^-64 scale, rounded outward), and
+the recursive norm rule decides only when that enclosure contains 0.  No
+floating point ever participates in a decision; ``float()`` exists for
+rendering only.
 """
 
 from __future__ import annotations
@@ -59,13 +61,15 @@ def to_scalar(x) -> Scalar:
 #     value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m),
 # and each radicand R_i is an int or, for a nested root, an integer dict over
 # generators below i.  adjoin_sqrt encodes a radicand before it registers
-# the root, so that order holds by construction.  The sign rule splits a
-# value on its top generator as p + q*sqrt(R) and compares p^2 with q^2*R;
-# it never assumes that the generators are independent (sqrt(2+sqrt2) and
-# sqrt(2-sqrt2) get separate bits although their product is sqrt2), so every
-# sign is exact.  A value that is 0 with a nonempty encoding is caught by its
-# sign.  Scalars carry Fraction coefficients; fm clears its rows to integers
-# and runs the same helpers on them.
+# the root, so that order holds by construction.  A sign comes first from an
+# integer enclosure of the value (see _BOX below); no float is used.  Only
+# when the enclosure contains 0 does the norm rule decide: it splits the
+# value on its top generator as p + q*sqrt(R) and compares p^2 with q^2*R.
+# Neither step assumes that the generators are independent (sqrt(2+sqrt2)
+# and sqrt(2-sqrt2) get separate bits although their product is sqrt2), so
+# every sign is exact.  A value that is 0 with a nonempty encoding is caught
+# by its sign.  Scalars carry Fraction coefficients; fm clears its rows to
+# integers and runs the same helpers on them.
 
 # The generators seen so far.  The registry is process-wide and only ever
 # appends, so encodings cached on functionals stay valid.
@@ -81,7 +85,70 @@ def _split(val: dict, top: int) -> tuple[dict, dict]:
     return p, q
 
 
+# The enclosure: _BOX[mask] = (lo, hi) with
+#     lo <= 2**64 * prod(sqrt(R_i) for i in mask) <= hi,
+# from math.isqrt of each radicand (a nested one enclosed first), and
+# products and sums rounded outward in integers.  Entries never change,
+# since the registry only appends.
+_SCALE = 64
+_BOX: dict = {0: (1 << _SCALE, 1 << _SCALE)}
+
+
+def _box(mask: int) -> tuple[int, int]:
+    box = _BOX.get(mask)
+    if box is None:
+        low = mask & -mask
+        if mask == low:
+            r = _RADICANDS[low.bit_length() - 1]
+            if isinstance(r, int):
+                lo = hi = r << 2 * _SCALE
+            else:
+                lo, hi = _enclose(r)
+                lo, hi = max(lo, 0) << _SCALE, hi << _SCALE
+            up = math.isqrt(hi)
+            box = (math.isqrt(lo), up if up * up == hi else up + 1)
+        else:
+            alo, ahi = _box(low)
+            blo, bhi = _box(mask ^ low)
+            box = ((alo * blo) >> _SCALE, -((-ahi * bhi) >> _SCALE))
+        _BOX[mask] = box
+    return box
+
+
+def _enclose(val: dict) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2**64 * val <= hi; int or Fraction coefficients."""
+    lo = hi = 0
+    for m, c in val.items():
+        blo, bhi = _BOX.get(m) or _box(m)
+        n, d = c.numerator, c.denominator
+        if n < 0:
+            blo, bhi = bhi, blo
+        if d == 1:
+            lo += n * blo
+            hi += n * bhi
+        else:
+            lo += (n * blo) // d
+            hi -= (-n * bhi) // d
+    return lo, hi
+
+
 def _sign(val: dict) -> int:
+    if not val:
+        return 0
+    if not max(val):  # rational
+        return 1 if val[0] > 0 else -1
+    lo, hi = _enclose(val)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return _norm_sign(val)
+
+
+def _norm_sign(val: dict) -> int:
+    """The exact sign rule on its own: p + q*sqrt(R) has the sign of p when
+    q is 0, else of q when p agrees or is 0, else of p times p^2 - q^2*R.
+    Its recursive calls go through the enclosure again."""
     if not val:
         return 0
     top = max(val).bit_length() - 1

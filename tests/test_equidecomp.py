@@ -73,6 +73,76 @@ def test_rotation_about_fixes_center():
     assert not m.is_identity()
 
 
+SQRT2 = adjoin_sqrt(2)
+# Motions of the plane, none the identity: a 3-4-5 rotation, the pi/8
+# rotation over the tower sqrt2, sqrt(2+sqrt2), sqrt(2-sqrt2), and two
+# translations.
+MOTIONS = {
+    "rot345": Motion.rotation_about(Vec(F(1, 3), -2), F(3, 5), F(4, 5)),
+    "rot-pi/8": Motion.rotation_about(
+        Vec(1, F(1, 2)), adjoin_sqrt(2 + SQRT2) / 2, adjoin_sqrt(2 - SQRT2) / 2
+    ),
+    "shift": Motion.translation_by(Vec(F(-7, 2), F(5, 3))),
+    "shift-sqrt2": Motion.translation_by(Vec(SQRT2, 1 - SQRT2 / 3)),
+}
+
+
+def _random_plane_cell(rng: random.Random) -> Cell:
+    cons = []
+    for _ in range(rng.randint(1, 5)):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if a == 0 and b == 0:
+            a = 1
+        cons.append(AffineFunctional(Vec(a, b), F(rng.randint(-6, 6), rng.randint(1, 3))))
+    return Cell(PLANE, cons)
+
+
+@pytest.mark.parametrize("name", sorted(MOTIONS))
+def test_full_plane_motion_matches_carrier_path(name):
+    m = MOTIONS[name]
+    rng = random.Random(f"motion-{name}")
+    seen = set()
+    for _ in range(12):
+        cell = _random_plane_cell(rng)
+        empty = cell.is_empty()
+        seen.add(empty)
+        fast = m.apply_cell(cell)
+        ref = m._apply_cell_via_carrier(cell)
+        assert fast.carrier == ref.carrier
+        assert len(fast.constraints) == len(ref.constraints)
+        assert all(a == b for a, b in zip(fast.constraints, ref.constraints))
+        # The carried emptiness is what a fresh feasibility test decides.
+        assert ref._empty is None and fast._empty == empty == ref.is_empty()
+        if not empty:  # and the image holds the image of a point of the cell
+            assert fast.contains(m.apply_refined_point(cell.witness()))
+    assert seen == {True, False}
+    for _ in range(3):
+        poly = polygon_lift(random_convex_polygon(rng))
+        fast = m.apply_polytope(poly)
+        ref = RefinedPolytope(poly.rank, [m._apply_cell_via_carrier(c) for c in poly.cells])
+        assert equals(fast, ref) and equals(ref, fast)
+
+
+def test_lower_rank_cell_takes_the_carrier_path(monkeypatch):
+    calls = []
+    general = Motion._apply_cell_via_carrier
+
+    def spy(self, cell):
+        calls.append(cell)
+        return general(self, cell)
+
+    monkeypatch.setattr(Motion, "_apply_cell_via_carrier", spy)
+    m = MOTIONS["rot345"]
+    segment = Cell(Carrier(Vec(0, 1), [Vec(1, 1)]), [AffineFunctional(Vec(1), 0)])
+    assert not segment.is_empty()
+    moved = m.apply_cell(segment)
+    assert calls == [segment]
+    assert moved.carrier == Carrier(m.apply_vec(Vec(0, 1)), [m.apply_direction(Vec(1, 1))])
+    assert moved._empty is False
+    m.apply_cell(_random_plane_cell(random.Random(1)))
+    assert calls == [segment]
+
+
 def test_motion_moves_cells_exactly():
     m = Motion.rotation_about(Vec(0, 0), 0, 1)  # quarter turn
     square = convex_polygon_lift(UNIT_SQUARE)

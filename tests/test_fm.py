@@ -261,10 +261,11 @@ def test_vertices_of_tower_triangle():
     "zero",
     [
         COS8 * SIN8 - SQRT2,  # sqrt(2+sqrt2) * sqrt(2-sqrt2) = sqrt2
-        2 * adjoin_sqrt(Fraction(1, 2)) - SQRT2,
+        2 * adjoin_sqrt(Fraction(1, 2)) - SQRT2,  # a plain Fraction(0), not encoded
+        SQRT2 * SQRT3 - adjoin_sqrt(6),
         2 * adjoin_sqrt(Fraction(1, 2) + SQRT2 / 4) - COS8,
     ],
-    ids=["product", "rational-radicand", "nested-radicand"],
+    ids=["product", "rational-radicand", "integer-product", "nested-radicand"],
 )
 def test_coefficient_zero_despite_nonempty_encoding(zero):
     assert sign(zero) == 0

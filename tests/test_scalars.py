@@ -9,12 +9,15 @@ decision procedure.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refinedgeo import scalars as sc
 from refinedgeo.errors import GeometryError, ParseError
 from refinedgeo.scalars import (
     QuadExt,
@@ -285,3 +288,127 @@ def test_quadext_repr_is_literal():
     assert repr(-SQRT2) == "-sqrt(2)"
     assert repr(Fraction(3, 4) * SQRT2) == "3/4*sqrt(2)"
     assert isinstance((1 + SQRT2), QuadExt)
+
+
+# -- the sign enclosure against the norm rule ---------------------------------
+#
+# Every tower sign is read from an integer enclosure first; the norm rule
+# decides only when the enclosure contains 0.  The benchmark workloads never
+# reach that fallback, so these tests are its coverage.
+
+TOWERS = {
+    "sqrt2-sqrt3": [SQRT2, SQRT3],
+    "sqrt2-cos8": [SQRT2, COS8],
+    "sqrt2-sin8": [SQRT2, SIN8],
+    "mixed": [SQRT2, COS8, SIN8],
+}
+HIDDEN_ZEROS = [SQRT2 * SQRT3 - adjoin_sqrt(6), COS8 * SIN8 - SQRT2]
+
+
+def _reference_sign(terms: dict) -> int:
+    """The norm rule alone: the enclosure is bypassed at every level."""
+    saved = sc._sign
+    sc._sign = sc._norm_sign
+    try:
+        return sc._norm_sign(terms)
+    finally:
+        sc._sign = saved
+
+
+def _encloses_zero(x) -> bool:
+    lo, hi = sc._enclose(x.terms)
+    return lo <= 0 <= hi
+
+
+def _monomials(roots):
+    out = [Fraction(1)]
+    for r in roots:
+        out += [m * r for m in out]
+    return out
+
+
+def _tower_value(rng: random.Random, roots):
+    """A random combination of the monomials of ``roots``; now and then a
+    hidden zero times a tower value plus a tiny rational, which only the
+    norm rule can sign."""
+    monos = _monomials(roots)
+    x = Fraction(0)
+    for _ in range(rng.randint(1, 5)):
+        x = x + Fraction(rng.randint(-40, 40), rng.randint(1, 9)) * rng.choice(monos)
+    if rng.random() < 0.3:
+        tiny = Fraction(rng.randint(-3, 3), 2 ** rng.randint(66, 90))
+        x = rng.choice(HIDDEN_ZEROS) * (x + rng.choice(monos)) + tiny
+    return x
+
+
+def _pell_pairs(count: int):
+    """(a, b) with a^2 - 2b^2 = +-1 and a + b*sqrt2 > 2^66, so that
+    |a - b*sqrt2| < 2^-66: from the powers of 1 + sqrt2."""
+    a, b = 1, 1
+    out = []
+    while len(out) < count:
+        a, b = a + 2 * b, a + b
+        if a > 1 << 66:
+            out.append((a, b))
+    return out
+
+
+def _check_sign(x) -> None:
+    if isinstance(x, QuadExt):
+        ref = _reference_sign(x.terms)
+        assert sc._sign(x.terms) == ref
+        assert sign(x) == ref
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_enclosure_sign_matches_norm_rule_on_seeded_values(tower):
+    rng = random.Random(f"enclosure-{tower}")
+    roots = TOWERS[tower]
+    fallbacks = 0
+    with deadline(20, f"enclosure differential, {tower}"):
+        for _ in range(300):
+            x = _tower_value(rng, roots)
+            _check_sign(x)
+            fallbacks += isinstance(x, QuadExt) and _encloses_zero(x)
+    assert fallbacks > 0  # the norm rule decided some of them
+
+
+def test_enclosure_falls_back_on_hidden_zeros_and_pell_near_zeros():
+    with deadline(20, "enclosure hidden zeros"):
+        for zero in HIDDEN_ZEROS:
+            assert isinstance(zero, QuadExt) and _encloses_zero(zero)
+            assert sc._sign(zero.terms) == _reference_sign(zero.terms) == 0
+        for a, b in _pell_pairs(12):
+            x = a - b * SQRT2
+            assert _encloses_zero(x)  # so the norm rule runs
+            expected = a * a - 2 * b * b  # +-1: the sign of (a - b*sqrt2)(a + b*sqrt2)
+            assert sc._sign(x.terms) == _reference_sign(x.terms) == expected
+            assert sign(x) == expected and sign(-x) == -expected
+
+
+def test_enclosure_contains_the_value():
+    # lo <= 2^64 * x <= hi, checked exactly by the norm rule.
+    rng = random.Random(7)
+    with deadline(20, "enclosure bounds"):
+        for tower in sorted(TOWERS):
+            for _ in range(50):
+                x = _tower_value(rng, TOWERS[tower])
+                if not isinstance(x, QuadExt):
+                    continue
+                lo, hi = sc._enclose(x.terms)
+                assert _reference_sign(sc._terms(x * (1 << 64) - lo)) >= 0
+                assert _reference_sign(sc._terms(hi - x * (1 << 64))) >= 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(TOWERS)),
+    st.lists(st.tuples(rationals, st.integers(0, 7)), min_size=1, max_size=6),
+    st.integers(-3, 3),
+)
+def test_enclosure_sign_matches_norm_rule_property(tower, terms, tiny):
+    monos = _monomials(TOWERS[tower])
+    x = sum((c * monos[i % len(monos)] for c, i in terms), Fraction(0))
+    with deadline(20, "enclosure property"):
+        _check_sign(x)
+        _check_sign(HIDDEN_ZEROS[tiny % 2] * x + Fraction(tiny, 1 << 70))
