@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .cells import Cell, ClosedPiece, complement_halfspace, convex_area
 from .errors import GeometryError
 from .fm import LinIneq, affine_dim
-from .linalg import AffineFunctional, Carrier, Vec, carrier_intersection, restrict_functional
+from .linalg import Carrier, Vec, carrier_intersection, restrict_functional
 from .resolution import RefinedPoint
 from .scalars import Scalar, ceil_scalar, floor_scalar, sign
 
@@ -122,20 +122,6 @@ class ConventionalPolytope:
 
     def contains_position(self, x: Vec) -> bool:
         return any(piece.contains_position(x) for piece in self.pieces)
-
-    def translated(self, v: Vec) -> "ConventionalPolytope":
-        moved = []
-        for piece in self.pieces:
-            carrier = Carrier(piece.carrier.base + v, piece.carrier.basis)
-            shifted = [
-                restrict_functional(
-                    AffineFunctional(amb.linear, amb.constant - amb.linear.dot(v)),
-                    carrier,
-                )
-                for amb in piece.ambient_constraints()
-            ]
-            moved.append(ClosedPiece(carrier, shifted))
-        return ConventionalPolytope(self.rank, moved)
 
     def __repr__(self) -> str:
         return f"ConventionalPolytope(rank={self.rank}, pieces={len(self.pieces)})"

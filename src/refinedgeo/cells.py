@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GeometryError
 from .fm import LinIneq, feasible, is_bounded, sample_point, vertices
@@ -56,6 +56,12 @@ def _ambient_form(carrier: Carrier, intrinsic: Sequence[AffineFunctional]) -> li
             const = const - coeff * carrier.base[col]
         out.append(AffineFunctional(Vec(*linear), const))
     return out
+
+
+def _moved_functional(xi: AffineFunctional, rotate: Callable[[Vec], Vec], shift: Vec):
+    """The functional whose value at R x + shift is xi's value at x."""
+    linear = rotate(xi.linear)
+    return AffineFunctional(linear, xi.constant - linear.dot(shift))
 
 
 def ccw_order(points: Sequence[Vec]) -> list[Vec]:
@@ -121,15 +127,6 @@ class ClosedPiece:
             return False
         t = self.carrier.coords_of_point(x)
         return all(sign(xi.value(t)) >= 0 for xi in self.functionals)
-
-    def is_empty(self) -> bool:
-        return not feasible(self._system(), self.carrier.dim)
-
-    def sample_position(self) -> Optional[Vec]:
-        point = sample_point(self._system(), self.carrier.dim)
-        if point is None:
-            return None
-        return self.carrier.embed_point(Vec(*point))
 
     def is_bounded(self) -> bool:
         if self._bounded is None:
@@ -274,17 +271,35 @@ class Cell:
         (One canonical preimage; enough to rebuild the cell on its carrier.)"""
         return _ambient_form(self.carrier, self.constraints)
 
+    def moved(self, rotate: Callable[[Vec], Vec], shift: Vec) -> "Cell":
+        """The image under x -> R x + shift, where ``rotate`` applies an
+        orthogonal R to a direction.  Orthogonality is what lets a
+        functional's linear part map like a direction: l.x + c at x is
+        (R l).y + c - (R l).shift at y = R x + shift.  A full carrier maps
+        onto itself, so its constraints map directly."""
+        if self.carrier.dim == self.carrier.ambient_dim:
+            moved = [_moved_functional(xi, rotate, shift) for xi in self.constraints]
+            out = Cell(self.carrier, moved)
+        else:
+            out = self._moved_via_carrier(rotate, shift)
+        # A rigid motion is a bijection, so the image is empty iff the cell is.
+        out._empty = self._empty
+        return out
+
+    def _moved_via_carrier(self, rotate: Callable[[Vec], Vec], shift: Vec) -> "Cell":
+        """The reference map: move the carrier, then restrict the moved
+        ambient constraints to it."""
+        carrier = Carrier(
+            rotate(self.carrier.base) + shift, [rotate(b) for b in self.carrier.basis]
+        )
+        moved = [_moved_functional(xi, rotate, shift) for xi in self.ambient_constraints()]
+        out = Cell.from_ambient(carrier, moved)
+        if out is None:  # rigid motions cannot introduce emptiness
+            raise GeometryError("rigid motion produced an inconsistent cell")
+        return out
+
     def translated(self, v: Vec) -> "Cell":
-        carrier = Carrier(self.carrier.base + v, self.carrier.basis)
-        moved = [
-            AffineFunctional(xi.linear, xi.constant - xi.linear.dot(v))
-            for xi in self.ambient_constraints()
-        ]
-        cell = Cell.from_ambient(carrier, moved)
-        if cell is None:  # translation cannot introduce emptiness
-            raise GeometryError("translation produced an inconsistent cell")
-        cell._empty = self._empty
-        return cell
+        return self.moved(lambda u: u, v)
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":
         return Cell(self.carrier, list(self.constraints) + list(constraints))

@@ -4,9 +4,13 @@ Two simple polygons of equal area are cut into pairwise-congruent refined
 pieces: triangulate both, match triangle areas by cevian cuts, convert each
 matched triangle to a rectangle (midline cut, then an equiareal shear), and
 convert the second rectangle into the first by base doublings, two further
-shears, and one exact rotation.  All cuts are refined partitions: pieces
-share no boundary points, because every piece is the lift of a convex
-polygon and lifts of interior-disjoint figures are refined-disjoint.
+shears, and one exact rotation.  Each side keeps its pieces as images on
+the current figure: a stage cuts the images and composes its motion onto
+theirs, and the start pieces are recovered once at the end.
+
+All cuts are refined partitions: pieces share no boundary points, because
+every piece is the lift of a convex polygon and lifts of interior-disjoint
+figures are refined-disjoint.
 
 Scalars stay rational along the first chain; the second chain adjoins at
 most one square root per matched pair (the rotation's cosine), so every
@@ -116,35 +120,8 @@ class Motion:
     def apply_refined_point(self, rp: RefinedPoint) -> RefinedPoint:
         return RefinedPoint(self.apply_vec(rp.position), self.apply_flag(rp.flag))
 
-    def _apply_functional(self, xi: AffineFunctional) -> AffineFunctional:
-        """The ambient functional whose value at m(x) is xi's value at x."""
-        linear = self.apply_direction(xi.linear)
-        return AffineFunctional(linear, xi.constant - linear.dot(self.translation))
-
     def apply_cell(self, cell: Cell) -> Cell:
-        carrier = cell.carrier
-        if carrier.dim == carrier.ambient_dim:
-            # The plane maps onto itself and its intrinsic coordinates are
-            # the ambient ones, so the constraints map directly.
-            out = Cell(carrier, [self._apply_functional(xi) for xi in cell.constraints])
-        else:
-            out = self._apply_cell_via_carrier(cell)
-        # A rigid motion is a bijection, so the image is empty iff the cell is.
-        out._empty = cell._empty
-        return out
-
-    def _apply_cell_via_carrier(self, cell: Cell) -> Cell:
-        """The general map: move the carrier, then restrict the moved
-        ambient constraints to it."""
-        carrier = Carrier(
-            self.apply_vec(cell.carrier.base),
-            [self.apply_direction(b) for b in cell.carrier.basis],
-        )
-        moved = [self._apply_functional(amb) for amb in cell.ambient_constraints()]
-        out = Cell.from_ambient(carrier, moved)
-        if out is None:  # rigid motions cannot introduce emptiness
-            raise GeometryError("motion produced an inconsistent cell")
-        return out
+        return cell.moved(self.apply_direction, self.translation)
 
     def apply_polytope(self, p: RefinedPolytope) -> RefinedPolytope:
         return RefinedPolytope(p.rank, [self.apply_cell(c) for c in p.cells])
@@ -507,20 +484,6 @@ def equiareal_shear(
     return pieces, motions, target
 
 
-def _double_base(
-    origin: Vec, base: Vec, side: Vec
-) -> tuple[list[RefinedPolytope], list[Motion], RefinedPolytope]:
-    """Halve a parallelogram at mid-height and translate the top strip to
-    the end of the base: same area, double base, half side."""
-    half_side = side.scale(_HALF)
-    bottom = _pgram_lift(origin, base, half_side)
-    top = _pgram_lift(origin + half_side, base, half_side)
-    pieces = [bottom, top]
-    motions = [Motion.identity(), Motion.translation_by(base - half_side)]
-    target = _pgram_lift(origin, base + base, half_side)
-    return pieces, motions, target
-
-
 def _cycles(t: tuple[Vec, Vec, Vec]) -> list[tuple[Vec, Vec, Vec]]:
     v0, v1, v2 = t
     return [(v0, v1, v2), (v1, v2, v0), (v2, v0, v1)]
@@ -575,32 +538,36 @@ def _tight(p: RefinedPolytope) -> RefinedPolytope:
 
 
 class _Chain:
-    """Pieces of a start figure with motions onto the current figure."""
+    """Images of a start figure's pieces on the current figure, each with
+    the motion that carried its start piece there.
+
+    A stage cuts every image by the stage pieces and moves each cut once,
+    composing the stage motion onto the image's motion.  Start pieces are
+    not kept; they are recovered once, at the end, through each final
+    motion's inverse."""
 
     def __init__(self, start: RefinedPolytope):
-        self.pieces: list[RefinedPolytope] = [start]
+        self.images: list[RefinedPolytope] = [start]
         self.motions: list[Motion] = [Motion.identity()]
-        self.figure = start
 
     def apply_stage(
-        self,
-        stage_pieces: Sequence[RefinedPolytope],
-        stage_motions: Sequence[Motion],
-        new_figure: RefinedPolytope,
+        self, stage_pieces: Sequence[RefinedPolytope], stage_motions: Sequence[Motion]
     ) -> None:
-        new_pieces: list[RefinedPolytope] = []
-        new_motions: list[Motion] = []
-        for piece, f in zip(self.pieces, self.motions):
-            image = f.apply_polytope(piece)
-            back = f.inverse()
+        images: list[RefinedPolytope] = []
+        motions: list[Motion] = []
+        for image, f in zip(self.images, self.motions):
             for sp, sm in zip(stage_pieces, stage_motions):
                 e = _tight(intersect(image, sp))
                 if e.cells:
-                    new_pieces.append(back.apply_polytope(e))
-                    new_motions.append(sm.compose(f))
-        self.pieces = new_pieces
-        self.motions = new_motions
-        self.figure = new_figure
+                    images.append(sm.apply_polytope(e))
+                    motions.append(sm.compose(f))
+        self.images = images
+        self.motions = motions
+
+    def move(self, m: Motion) -> None:
+        """Move every image by one motion; nothing is cut."""
+        self.images = [m.apply_polytope(image) for image in self.images]
+        self.motions = [m.compose(f) for f in self.motions]
 
 
 def _rect_frame(triangle: tuple[Vec, Vec, Vec], log: list[str], tag: str):
@@ -608,22 +575,25 @@ def _rect_frame(triangle: tuple[Vec, Vec, Vec], log: list[str], tag: str):
     chain and the rectangle frame (origin, base, height vector)."""
     v0, v1, v2 = triangle
     chain = _Chain(convex_polygon_lift([v0, v1, v2]))
-    pieces, motions, target = triangle_to_parallelogram(triangle, check=False)
-    chain.apply_stage(pieces, motions, target)
+    pieces, motions, _ = triangle_to_parallelogram(triangle, check=False)
+    chain.apply_stage(pieces, motions)
     b = v1 - v0
     h = (v2 - v0).scale(_HALF)
     n = h - b.scale(h.dot(b) / b.dot(b))
-    pieces, motions, target = equiareal_shear(v0, b, h, n, check=False)
-    chain.apply_stage(pieces, motions, target)
+    pieces, motions, _ = equiareal_shear(v0, b, h, n, check=False)
+    chain.apply_stage(pieces, motions)
     log.append(f"{tag}: triangle to rectangle (midline cut + shear)")
     return chain, (v0, b, n)
 
 
 def _double_frame(chain: _Chain, frame: tuple[Vec, Vec, Vec]) -> tuple[Vec, Vec, Vec]:
+    """Halve the rectangle at mid-height and translate the top strip to the
+    end of the base: same area, double base, half side."""
     o, b, n = frame
-    pieces, motions, target = _double_base(o, b, n)
-    chain.apply_stage(pieces, motions, target)
-    return o, b + b, n.scale(_HALF)
+    half = n.scale(_HALF)
+    pieces = [_pgram_lift(o, b, half), _pgram_lift(o + half, b, half)]
+    chain.apply_stage(pieces, [Motion.identity(), Motion.translation_by(b - half)])
+    return o, b + b, half
 
 
 def _chain_q_onto_rect_p(
@@ -656,11 +626,11 @@ def _chain_q_onto_rect_p(
     s = b.scale(lam) + n
     if sign(s.dot(s) - n_p_sq) != 0:
         raise GeometryError("slant side length drifted; exact arithmetic bug")
-    pieces, motions, target = equiareal_shear(o, b, n, s, check=False)
-    chain.apply_stage(pieces, motions, target)
+    pieces, motions, _ = equiareal_shear(o, b, n, s, check=False)
+    chain.apply_stage(pieces, motions)
     m = b - s.scale(root / n_p_sq)
-    pieces, motions, target = equiareal_shear(o, s, b, m, check=False)
-    chain.apply_stage(pieces, motions, target)
+    pieces, motions, _ = equiareal_shear(o, s, b, m, check=False)
+    chain.apply_stage(pieces, motions)
     log.append(f"{tag}: two shears through the slant side")
     # Rigid motion: s -> -bp forces m -> np (orientation), corner o -> op+bp.
     cos = -(s.dot(bp)) / n_p_sq
@@ -668,9 +638,7 @@ def _chain_q_onto_rect_p(
     rot = Motion(((cos, -sin), (sin, cos)), Vec(_ZERO, _ZERO))
     if rot.apply_direction(s) != -bp or rot.apply_direction(m) != np_:
         raise GeometryError("rigid alignment failed; exact arithmetic bug")
-    move = Motion(rot.rotation, (op + bp) - rot.apply_direction(o))
-    rect_p = _pgram_lift(op, bp, np_)
-    chain.apply_stage([chain.figure], [move], rect_p)
+    chain.move(Motion(rot.rotation, (op + bp) - rot.apply_direction(o)))
     log.append(f"{tag}: rotated onto the target rectangle")
     return chain
 
@@ -824,17 +792,13 @@ def equidecompose(
         if kp:
             log.append(f"pair {idx} P-side: doubled the rectangle base {kp} time(s)")
         chain_q = _chain_q_onto_rect_p(tq_c, frame, log, f"pair {idx} Q-side", kq)
-        moved_q = [g.apply_polytope(qp) for qp, g in zip(chain_q.pieces, chain_q.motions)]
-        inverses = [g.inverse() for g in chain_q.motions]
-        for piece, f in zip(chain_p.pieces, chain_p.motions):
-            image = f.apply_polytope(piece)
-            back = f.inverse()
-            for qp, g_inv, img_q in zip(chain_q.pieces, inverses, moved_q):
-                e = _tight(intersect(image, img_q))
-                if e.cells:
-                    pieces_p.append(back.apply_polytope(e))
-                    pieces_q.append(g_inv.apply_polytope(e))
-                    motions.append(g_inv.compose(f))
+        # Both chains end on the P rectangle: cutting P's images by Q's and
+        # moving the cuts back along Q's motions lands them on Q's triangle.
+        chain_p.apply_stage(chain_q.images, [g.inverse() for g in chain_q.motions])
+        pieces_q += chain_p.images
+        motions += chain_p.motions
+        for image, m in zip(chain_p.images, chain_p.motions):
+            pieces_p.append(m.inverse().apply_polytope(image))
     log.append(f"composed chains: {len(pieces_p)} matched pieces")
     d = Decomposition(pieces_p, pieces_q, motions, log)
     d.report = verify_decomposition(d, lift_p, lift_q)

@@ -202,6 +202,55 @@ def test_translated_cell():
     assert not moved.contains(away)
 
 
+TRANSLATE_CARRIERS = {
+    "line": LINE,
+    "plane": PLANE,
+    "space": Carrier.full(3),
+    "segment-in-plane": Carrier(Vec(1, -2), [Vec(3, 1)]),
+    "plane-in-space": Carrier(Vec(1, 0, 2), [Vec(1, 2, 0), Vec(0, 1, -1)]),
+}
+
+
+def _random_vec(rng: random.Random, d: int) -> Vec:
+    return Vec(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)])
+
+
+def _random_cell(rng: random.Random, carrier: Carrier) -> Cell:
+    k = carrier.dim
+    cons = []
+    for _ in range(rng.randint(1, 3 * k)):
+        linear = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+        if not any(linear):
+            linear[rng.randrange(k)] = Fraction(1)
+        cons.append(AffineFunctional(Vec(*linear), Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
+    return Cell(carrier, cons)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_CARRIERS))
+def test_translated_matches_carrier_path(name):
+    """Full carriers map their constraints directly; every carrier must
+    agree with the reference map that moves the carrier and restricts."""
+    carrier = TRANSLATE_CARRIERS[name]
+    rng = random.Random(f"translated-{name}")
+    seen = set()
+    for _ in range(20):
+        cell = _random_cell(rng, carrier)
+        empty = cell.is_empty()
+        seen.add(empty)
+        v = _random_vec(rng, carrier.ambient_dim)
+        fast = cell.translated(v)
+        ref = cell._moved_via_carrier(lambda u: u, v)
+        assert fast.carrier == ref.carrier
+        assert len(fast.constraints) == len(ref.constraints)
+        assert all(a == b for a, b in zip(fast.constraints, ref.constraints))
+        # The carried emptiness is what a fresh feasibility test decides.
+        assert ref._empty is None and fast._empty == empty == ref.is_empty()
+        if not empty:  # the image holds the shifted witness
+            w = cell.witness()
+            assert fast.contains(RefinedPoint(w.position + v, w.flag))
+    assert seen == {True, False}
+
+
 def test_lower_dimensional_cell_on_its_own_carrier():
     diag = affine_hull([Vec(0, 0), Vec(1, 1)])
     cell = Cell.from_ambient(

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from refinedgeo.algebra import RefinedPolytope, equals, partition_check
 from refinedgeo.cells import Cell
+from refinedgeo.cli import write_decomposition
 from refinedgeo.equidecomp import (
     Decomposition,
     Motion,
@@ -107,7 +109,7 @@ def test_full_plane_motion_matches_carrier_path(name):
         empty = cell.is_empty()
         seen.add(empty)
         fast = m.apply_cell(cell)
-        ref = m._apply_cell_via_carrier(cell)
+        ref = cell._moved_via_carrier(m.apply_direction, m.translation)
         assert fast.carrier == ref.carrier
         assert len(fast.constraints) == len(ref.constraints)
         assert all(a == b for a, b in zip(fast.constraints, ref.constraints))
@@ -119,19 +121,21 @@ def test_full_plane_motion_matches_carrier_path(name):
     for _ in range(3):
         poly = polygon_lift(random_convex_polygon(rng))
         fast = m.apply_polytope(poly)
-        ref = RefinedPolytope(poly.rank, [m._apply_cell_via_carrier(c) for c in poly.cells])
+        ref = RefinedPolytope(
+            poly.rank, [c._moved_via_carrier(m.apply_direction, m.translation) for c in poly.cells]
+        )
         assert equals(fast, ref) and equals(ref, fast)
 
 
 def test_lower_rank_cell_takes_the_carrier_path(monkeypatch):
     calls = []
-    general = Motion._apply_cell_via_carrier
+    general = Cell._moved_via_carrier
 
-    def spy(self, cell):
-        calls.append(cell)
-        return general(self, cell)
+    def spy(self, rotate, shift):
+        calls.append(self)
+        return general(self, rotate, shift)
 
-    monkeypatch.setattr(Motion, "_apply_cell_via_carrier", spy)
+    monkeypatch.setattr(Cell, "_moved_via_carrier", spy)
     m = MOTIONS["rot345"]
     segment = Cell(Carrier(Vec(0, 1), [Vec(1, 1)]), [AffineFunctional(Vec(1), 0)])
     assert not segment.is_empty()
@@ -365,6 +369,33 @@ def test_equidecompose_triangle_to_square():
     assert d.report is not None and d.report.all_passed
     total = sum((area(q) for q in d.pieces_q), F(0))
     assert total == 1
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = {
+    "square_to_wide": (UNIT_SQUARE, WIDE_RECT),
+    "triangle_to_square": ([(0, 0), (2, 0), (0, 1)], UNIT_SQUARE),
+    "right_to_isosceles": ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (F(1, 2), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_equidecompose_matches_golden_listing(name, tmp_path):
+    """The exact pieces, motions, report and provenance of fixed pairs."""
+    p, q = GOLDEN[name]
+    d = equidecompose(p, q)
+    path = tmp_path / "pieces.txt"
+    write_decomposition(d, str(path))
+    got = (
+        path.read_text()
+        + f"-- report\n{d.report}\n-- provenance\n"
+        + "\n".join(d.provenance)
+        + "\n"
+    )
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    if name == "right_to_isosceles":
+        assert "sqrt(" in expected  # one listing pins tower coordinates
+    assert got == expected
 
 
 def test_equidecompose_rejects_area_mismatch():
