@@ -17,6 +17,7 @@ from refinedgeo.cells import (
 from refinedgeo.errors import GeometryError
 from refinedgeo.linalg import AffineFunctional, Carrier, Vec, affine_hull
 from refinedgeo.resolution import Flag, RefinedPoint, sample_refined_point
+from refinedgeo.scalars import adjoin_sqrt
 
 LINE = Carrier.full(1)
 PLANE = Carrier.full(2)
@@ -268,3 +269,68 @@ def test_lower_dimensional_cell_on_its_own_carrier():
     assert not cell.contains(start_bwd)
     off = RefinedPoint(Vec(1, 0), Flag([Vec(1, 1)]))
     assert not cell.contains(off)
+
+
+# -- golden plane cells ----------------------------------------------------------
+#
+# Each case: constraints, expected emptiness, indices of the constraints that
+# ``pruned`` keeps (compared by identity, so among same-line duplicates the
+# last one is the one kept), boundedness of the closure and its vertex set.
+
+SQRT2 = adjoin_sqrt(2)
+F = Fraction
+GOLDEN_PLANE = {
+    "half-plane": ([AffineFunctional(Vec(1, 2), -3)], False, [0], False, []),
+    "strip": (
+        [AffineFunctional(Vec(0, 1), 0), AffineFunctional(Vec(0, 1), 1),
+         AffineFunctional(Vec(0, -1), 1)],
+        False, [0, 2], False, [],
+    ),
+    "wedge": (
+        [AffineFunctional(Vec(1, 0), 0), AffineFunctional(Vec(1, 1), 1),
+         AffineFunctional(Vec(0, 1), 0)],
+        False, [0, 2], False, [(0, 0)],
+    ),
+    "open-cone": (
+        [AffineFunctional(Vec(-1, SQRT2), 0), AffineFunctional(Vec(1, SQRT2), 0)],
+        False, [0, 1], False, [(0, 0)],
+    ),
+    "scaled-duplicates": (
+        [AffineFunctional(Vec(1, 0), 0), AffineFunctional(Vec(0, 1), 0),
+         AffineFunctional(Vec(2, 0), 0), AffineFunctional(Vec(-1, -1), 1),
+         AffineFunctional(Vec(3, 0), 0)],
+        False, [1, 3, 4], True, [(0, 0), (0, 1), (1, 0)],
+    ),
+    "line-through-vertex": (
+        [AffineFunctional(Vec(1, 0), 0), AffineFunctional(Vec(0, 1), 0),
+         AffineFunctional(Vec(-1, -1), 1), AffineFunctional(Vec(1, -1), 0),
+         AffineFunctional(Vec(SQRT2, 1), 0)],
+        False, [1, 2, 3], True, [(0, 0), (1, 0), (F(1, 2), F(1, 2))],
+    ),
+    "empty-strip": (
+        [AffineFunctional(Vec(0, 1), -1), AffineFunctional(Vec(0, -1), 0)],
+        True, [0, 1], None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANE))
+def test_golden_plane_cells(name):
+    cons, empty, kept, bounded, verts = GOLDEN_PLANE[name]
+    cell = Cell(PLANE, cons)
+    assert cell.is_empty() is empty
+    pruned = cell.pruned()
+    assert len(pruned.constraints) == len(kept)
+    assert all(a is cons[i] for a, i in zip(pruned.constraints, kept))
+    if empty:
+        with pytest.raises(GeometryError):
+            cell.closure()
+        return
+    piece = cell.closure()
+    assert piece.is_bounded() is bounded
+    got = sorted(tuple(v) for v in piece.vertex_positions())
+    assert got == sorted(tuple(F(c) for c in v) for v in verts)
+    # The pruned cell is the same set with the same closure.
+    assert pruned.is_empty() is False
+    assert pruned.closure().is_bounded() is bounded
+    assert sorted(tuple(v) for v in pruned.closure().vertex_positions()) == got
