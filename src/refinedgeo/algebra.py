@@ -12,7 +12,9 @@ operations only ever combine constraint lists of same-carrier cells:
 
 Equality and subset are semantic, via difference-emptiness, and the
 closing/lift pair moves between refined polytopes and conventional weak
-ones.  Everything is exact; emptiness reduces to strict-system feasibility.
+ones.  Everything is exact.  Emptiness is decided by ``cells``: plane
+cells clip their parent's edge cycle, others ask ``fm`` about the strict
+system.
 """
 
 from __future__ import annotations
@@ -161,18 +163,21 @@ def _subtract_cell(pieces: list[Cell], q: Cell) -> list[Cell]:
     The complement of an intersection of refined half-spaces is expanded
     into prefix pieces: keep the first j-1 half-spaces, flip the j-th.
     The pieces are pairwise disjoint by construction; empties are pruned.
+    The prefixes are built one constraint at a time, so that a plane piece
+    clips each one from the last.
     """
     result: list[Cell] = []
     for r in pieces:
-        # Pieces that miss q entirely survive whole; one feasibility test
+        prefixes = [r]
+        for eta in q.constraints:
+            prefixes.append(prefixes[-1].with_extra([eta]))
+        # Pieces that miss q entirely survive whole; one emptiness test
         # here avoids fanning r out into len(q.constraints) fragments.
-        if r.with_extra(q.constraints).is_empty():
+        if prefixes[-1].is_empty():
             result.append(r)
             continue
-        for j, eta in enumerate(q.constraints):
-            cand = r.with_extra(
-                list(q.constraints[:j]) + [complement_halfspace(eta)]
-            )
+        for prefix, eta in zip(prefixes, q.constraints):
+            cand = prefix.with_extra([complement_halfspace(eta)])
             if not cand.is_empty():
                 result.append(cand)
     return result
@@ -231,16 +236,21 @@ def lift(conv: ConventionalPolytope) -> RefinedPolytope:
 
     Requires pure input: every piece must have full rank inside its
     carrier (equivalently, nonempty relative interior); otherwise the
-    closing of the lift would lose the degenerate piece.
+    closing of the lift would lose the degenerate piece.  Full rank is
+    exactly a nonempty lifted cell; the rank itself is only computed for
+    the message when it is wrong.
     """
     cells = []
     npieces = len(conv.pieces)
     for idx, piece in enumerate(conv.pieces):
         kept = [xi for xi in piece.functionals if xi.is_regular]
+        cell = Cell(piece.carrier, kept)
         if any(
             not xi.is_regular and sign(xi.constant) < 0 for xi in piece.functionals
         ):
             dim = -1
+        elif not cell.is_empty():
+            dim = piece.carrier.dim
         else:
             system = [LinIneq.from_functional(xi, strict=False) for xi in kept]
             dim = affine_dim(system, piece.carrier.dim)
@@ -249,7 +259,7 @@ def lift(conv: ConventionalPolytope) -> RefinedPolytope:
                 f"cannot lift: piece {idx + 1} of {npieces} has rank {dim}, "
                 f"expected {conv.rank}"
             )
-        cells.append(Cell(piece.carrier, kept))
+        cells.append(cell)
     return RefinedPolytope(conv.rank, cells)
 
 

@@ -6,6 +6,14 @@ the carrier and every constraint's refinement sign-sequence is
 lexicographically positive.  Emptiness of the refined set coincides with
 infeasibility of the strict interior system, and the closure of a nonempty
 cell is the conventional weak polytope with the same constraints.
+
+Cells on carriers of any dimension but 2 ask ``fm`` about that system.  A
+cell on a 2-dimensional carrier instead keeps its closure as an exact edge
+cycle (see the plane kernel below), from which it reads the constraints
+that carry an edge, boundedness and vertices.  A cell built by
+``with_extra`` clips its parent's cycle, which also decides its emptiness;
+only a plane cell with neither parent nor cycle asks ``fm`` whether it is
+empty, since one solve is cheaper than a cycle built from nothing.
 """
 
 from __future__ import annotations
@@ -15,10 +23,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GeometryError
-from .fm import LinIneq, feasible, is_bounded, sample_point, vertices
+from .fm import LinIneq, _row, feasible, is_bounded, sample_point, vertices
 from .linalg import AffineFunctional, Carrier, Vec, cross2, rank, restrict_functional
 from .resolution import Flag, RefinedPoint, eval_refinement, lex_positive
-from .scalars import Scalar, sign
+from .scalars import Scalar, _add, _inverse, _mul, _scalar, _scale, _sign, _sub, sign
 
 __all__ = [
     "Cell",
@@ -64,6 +72,125 @@ def _moved_functional(xi: AffineFunctional, rotate: Callable[[Vec], Vec], shift:
     return AffineFunctional(linear, xi.constant - linear.dot(shift))
 
 
+# -- the plane kernel -------------------------------------------------------------
+#
+# The closure of a nonempty cell on a 2-dimensional carrier is kept as a
+# counterclockwise edge cycle in the oriented projective plane (Stolfi,
+# "Oriented Projective Geometry", 1991).  A point is a homogeneous triple
+# (X, Y, W) of integer tower dicts with W >= 0; W = 0 is the point at
+# infinity in direction (X, Y).  An edge is labelled by the index of the
+# constraint whose line carries it, or by _INF for the line at infinity, and
+# the vertex between two edges is the cross product of their integer rows
+# (fm's ``_row``), so vertices never grow beyond degree 2 in the input.  The
+# sign of a constraint at a vertex is one integer dot product.
+#
+# The closure is the conic hull of the cycle's vertices once every edge is
+# shorter than 180 degrees.  An edge whose two ends lie at infinity is not:
+# it gets an interior vertex, a split, so that a parallel line, which is 0 at
+# both ends, still sees the edge's inside.  Clipping by one more constraint
+# is Sutherland-Hodgman (CACM 1974) on the vertex signs, and the cell is
+# empty as soon as no vertex is strictly inside.  A constraint whose line
+# carries an existing edge relabels it, so among same-line duplicates the
+# last one labels the edge, the one ``pruned`` has always kept.
+
+_INF = -1
+_INF_ROW = ({}, {}, {0: 1})
+# The whole plane: the line at infinity through four directions.
+_FULL_PLANE = (
+    (_INF, _INF, _INF, _INF),
+    (({0: 1}, {}, {}), ({}, {0: 1}, {}), ({0: -1}, {}, {}), ({}, {0: -1}, {})),
+)
+
+
+def _cross(r, s) -> tuple:
+    return (
+        _sub(_mul(r[1], s[2]), _mul(r[2], s[1])),
+        _sub(_mul(r[2], s[0]), _mul(r[0], s[2])),
+        _sub(_mul(r[0], s[1]), _mul(r[1], s[0])),
+    )
+
+
+def _side(row, v) -> int:
+    """Sign of a constraint at a homogeneous vertex."""
+    return _sign(_add(_add(_mul(row[0], v[0]), _mul(row[1], v[1])), _mul(row[2], v[2])))
+
+
+def _split(row, prev) -> tuple:
+    """An interior vertex of an edge whose ends lie at infinity: the finite
+    point (-ac, -bc, a^2 + b^2) of a line, or for the line at infinity the
+    direction 90 degrees counterclockwise from the edge's start ``prev``."""
+    if row is _INF_ROW:
+        return (_scale(prev[1], -1), prev[0], {})
+    a, b, c = row
+    return (_scale(_mul(a, c), -1), _scale(_mul(b, c), -1), _add(_mul(a, a), _mul(b, b)))
+
+
+def _resplit(labels: list, verts: list, row_of) -> tuple:
+    """Drop vertices inside an edge, then split every edge whose ends both
+    lie at infinity and which is a whole line or a half-turn at infinity."""
+    keep = [i for i in range(len(labels)) if labels[i] != labels[i - 1]]
+    m = len(keep)
+    out_l: list = []
+    out_v: list = []
+    for k, i in enumerate(keep):
+        label, v = labels[i], verts[i]
+        out_l.append(label)
+        out_v.append(v)
+        if not v[2]:
+            w = verts[keep[(k + 1) % m]]
+            if not w[2] and (
+                label != _INF or not _sign(_sub(_mul(v[0], w[1]), _mul(v[1], w[0])))
+            ):
+                out_l.append(label)
+                out_v.append(_split(row_of(label), v))
+    return tuple(out_l), tuple(out_v)
+
+
+def _clip(cycle: tuple, label: int, row, row_of) -> Optional[tuple]:
+    """The cycle cut by the constraint ``label`` with integer row ``row``;
+    None when no vertex is strictly inside it."""
+    labels, verts = cycle
+    signs = [_side(row, v) for v in verts]
+    if max(signs) <= 0:
+        return None
+    n = len(verts)
+    if min(signs) >= 0:
+        on_line = [signs[i] == 0 and signs[i + 1 - n] == 0 for i in range(n)]
+        if not any(on_line):
+            return cycle
+        return tuple(label if on else l for l, on in zip(labels, on_line)), verts
+    out_l: list = []
+    out_v: list = []
+    for i in range(n):
+        si, sj, li = signs[i], signs[i + 1 - n], labels[i]
+        if si > 0:
+            out_l.append(li)
+            out_v.append(verts[i])
+            if sj < 0:  # leaves the half-plane along edge i
+                out_l.append(label)
+                out_v.append(_cross(row_of(li), row))
+        elif si == 0:  # on the line: where the cut enters or leaves
+            out_l.append(label if sj < 0 else li)
+            out_v.append(verts[i])
+        elif sj > 0:  # enters the half-plane along edge i
+            out_l.append(li)
+            out_v.append(_cross(row, row_of(li)))
+    return _resplit(out_l, out_v, row_of)
+
+
+def _cycle_vertices(labels: tuple, row_of) -> tuple:
+    """The vertices of a cycle from its labels alone."""
+    n = len(labels)
+    verts: list = [None] * n
+    for i in range(n):
+        if labels[i - 1] != labels[i]:
+            verts[i] = _cross(row_of(labels[i - 1]), row_of(labels[i]))
+    for i in range(n):
+        if verts[i] is None:  # a split; a corner comes before it
+            verts[i] = _split(row_of(labels[i]), verts[i - 1])
+    return tuple(verts)
+
+
 def ccw_order(points: Sequence[Vec]) -> list[Vec]:
     """Convex-position points sorted counterclockwise around their centroid.
 
@@ -107,7 +234,7 @@ def convex_area(points: Sequence[Vec]) -> Scalar:
 class ClosedPiece:
     """A conventional convex piece: carrier plus weak intrinsic inequalities."""
 
-    __slots__ = ("carrier", "functionals", "_bounded", "_vertices")
+    __slots__ = ("carrier", "functionals", "_bounded", "_vertices", "_cycle")
 
     def __init__(self, carrier: Carrier, functionals: Iterable[AffineFunctional]):
         fns = tuple(functionals)
@@ -118,6 +245,9 @@ class ClosedPiece:
         self.functionals = fns
         self._bounded: Optional[bool] = None
         self._vertices: Optional[list[Vec]] = None
+        # A cell's closure on a 2-dimensional carrier gets the cell's edge
+        # cycle; pieces built directly ask fm.
+        self._cycle: Optional[tuple] = None
 
     def _system(self) -> list[LinIneq]:
         return [LinIneq.from_functional(xi, strict=False) for xi in self.functionals]
@@ -130,15 +260,25 @@ class ClosedPiece:
 
     def is_bounded(self) -> bool:
         if self._bounded is None:
-            self._bounded = is_bounded(self._system(), self.carrier.dim)
+            if self._cycle is not None:
+                self._bounded = all(v[2] for v in self._cycle[1])
+            else:
+                self._bounded = is_bounded(self._system(), self.carrier.dim)
         return self._bounded
 
     def vertex_positions(self) -> list[Vec]:
+        """The closure's vertices; counterclockwise when read from a cycle."""
         if self._vertices is None:
-            self._vertices = [
-                self.carrier.embed_point(Vec(*p))
-                for p in vertices(self._system(), self.carrier.dim)
-            ]
+            if self._cycle is not None:
+                labels, verts = self._cycle
+                points = []
+                for i, (x, y, w) in enumerate(verts):
+                    if w and labels[i] != labels[i - 1]:
+                        inv = _inverse(w)
+                        points.append((_scalar(_mul(x, inv)), _scalar(_mul(y, inv))))
+            else:
+                points = vertices(self._system(), self.carrier.dim)
+            self._vertices = [self.carrier.embed_point(Vec(*p)) for p in points]
         return list(self._vertices)
 
     def ambient_constraints(self) -> list[AffineFunctional]:
@@ -152,7 +292,7 @@ class ClosedPiece:
 class Cell:
     """Intersection of refined half-spaces inside a carrier."""
 
-    __slots__ = ("carrier", "constraints", "_empty", "_closure")
+    __slots__ = ("carrier", "constraints", "_empty", "_closure", "_cycle", "_parent")
 
     def __init__(self, carrier: Carrier, constraints: Iterable[AffineFunctional] = ()):
         cons = tuple(constraints)
@@ -165,6 +305,11 @@ class Cell:
         self.constraints = cons
         self._empty: Optional[bool] = None
         self._closure: Optional[ClosedPiece] = None
+        # Only on 2-dimensional carriers: the closure's edge cycle as
+        # (labels, vertices), vertices None while only labels are known;
+        # and the cell this one extends, until the cycle is computed.
+        self._cycle: Optional[tuple] = None
+        self._parent: Optional[Cell] = None
 
     @classmethod
     def from_ambient(
@@ -204,8 +349,37 @@ class Cell:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            self._empty = not feasible(self._strict_system(), self.carrier.dim)
+            if self._parent is not None or self._cycle is not None:
+                self._edges()
+            else:
+                self._empty = not feasible(self._strict_system(), self.carrier.dim)
         return self._empty
+
+    def _row_of(self, label: int):
+        return _INF_ROW if label == _INF else _row(self.constraints[label])
+
+    def _edges(self) -> Optional[tuple]:
+        """The closure's edge cycle (2-dimensional carriers only), clipped
+        from the parent's cycle when there is one; None when empty."""
+        cycle = self._cycle
+        if cycle is None:
+            if self._empty:
+                return None
+            parent = self._parent
+            if parent is None:
+                cycle, k = _FULL_PLANE, 0
+            else:
+                cycle, k = parent._edges(), len(parent.constraints)
+            row_of = self._row_of
+            while cycle is not None and k < len(self.constraints):
+                cycle = _clip(cycle, k, row_of(k), row_of)
+                k += 1
+            self._cycle = cycle
+            self._parent = None
+            self._empty = cycle is None
+        elif cycle[1] is None:  # labels carried by a motion
+            cycle = self._cycle = (cycle[0], _cycle_vertices(cycle[0], self._row_of))
+        return cycle
 
     def closure(self) -> ClosedPiece:
         """The conventional polytope with the same constraints read weakly.
@@ -216,6 +390,8 @@ class Cell:
                 raise GeometryError("closure of an empty cell is not represented")
             # Kept, so that its vertices and boundedness are computed once.
             self._closure = ClosedPiece(self.carrier, self.constraints)
+            if self.carrier.dim == 2:
+                self._closure._cycle = self._edges()
         return self._closure
 
     # -- witnesses ------------------------------------------------------------
@@ -276,10 +452,14 @@ class Cell:
         orthogonal R to a direction.  Orthogonality is what lets a
         functional's linear part map like a direction: l.x + c at x is
         (R l).y + c - (R l).shift at y = R x + shift.  A full carrier maps
-        onto itself, so its constraints map directly."""
+        onto itself, so its constraints map directly.  R must keep
+        orientation as well, for a plane cell's edge cycle keeps its labels
+        and is only re-derived from the moved rows."""
         if self.carrier.dim == self.carrier.ambient_dim:
             moved = [_moved_functional(xi, rotate, shift) for xi in self.constraints]
             out = Cell(self.carrier, moved)
+            if self._cycle is not None and self.constraints:  # the whole plane has no labels
+                out._cycle = (self._cycle[0], None)
         else:
             out = self._moved_via_carrier(rotate, shift)
         # A rigid motion is a bijection, so the image is empty iff the cell is.
@@ -302,14 +482,33 @@ class Cell:
         return self.moved(lambda u: u, v)
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":
-        return Cell(self.carrier, list(self.constraints) + list(constraints))
+        out = Cell(self.carrier, constraints)  # checks the added ones only
+        out.constraints = self.constraints + out.constraints
+        if self._empty:
+            out._empty = True
+        elif self.carrier.dim == 2:
+            out._parent = self
+        return out
 
     def pruned(self) -> "Cell":
         """An equal cell without constraints the others already imply.
 
         Intersections stack constraints faster than they add facets, and
         every later feasibility question fans out over the constraint list,
-        so dropping implied ones once pays for itself downstream."""
+        so dropping implied ones once pays for itself downstream.  A
+        nonempty plane cell keeps the constraints that label an edge of its
+        cycle; otherwise each constraint in turn is dropped when the rest
+        imply it, which also keeps the last of same-line duplicates."""
+        cycle = self._edges() if self.carrier.dim == 2 else None
+        if cycle is not None:
+            labels, verts = cycle
+            index = {old: new for new, old in enumerate(sorted(set(labels) - {_INF}))}
+            if len(index) == len(self.constraints):
+                return self
+            cell = Cell(self.carrier, [self.constraints[i] for i in index])
+            cell._empty = False
+            cell._cycle = (tuple(index.get(l, _INF) for l in labels), verts)
+            return cell
         kept = list(self.constraints)
         i = 0
         while len(kept) > 1 and i < len(kept):

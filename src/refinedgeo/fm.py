@@ -3,6 +3,12 @@
 A constraint is ``coeffs . x + const >= 0`` (weak) or ``> 0`` (strict).
 Systems live in the intrinsic coordinates of some carrier, so the ambient
 dimension here is the carrier dimension (desk scale: <= 3 variables).
+Cells on carriers of any dimension but 2 decide emptiness, pruning and
+closures here.  Plane cells read those from their edge cycles in
+``cells``, and come here only for the emptiness of a cell with no cycle
+and no parent, for witnesses (``sample_point``) and for ranks
+(``affine_dim``).  ``vertices`` and ``is_bounded`` still answer for any
+system, such as a closed piece built directly.
 
 Every scalar lies in the square-root tower of ``scalars``, whose encoding is
 a sparse vector over the monomial basis of the tower's generators.  The
@@ -82,10 +88,10 @@ class LinIneq:
         return f"LinIneq({list(self.coeffs)!r} . x + {self.const!r} {op} 0)"
 
 
-def _encode_row(c: LinIneq) -> list:
+def _encode_row(coeffs: Sequence[Scalar], const: Scalar) -> list:
     """Integer sparse encoding of one row: coefficients, then the constant."""
-    encoded = [_terms(s) for s in c.coeffs]
-    encoded.append(_terms(c.const))
+    encoded = [_terms(s) for s in coeffs]
+    encoded.append(_terms(const))
     d = 1
     for e in encoded:
         for v in e.values():
@@ -96,21 +102,21 @@ def _encode_row(c: LinIneq) -> list:
     ]
 
 
-def _rows(cons: Sequence[LinIneq]) -> list:
-    """(strict, integer row) pairs.
+def _row(xi: AffineFunctional) -> list:
+    """xi's integer row, kept on the functional so that every question
+    asked about the same geometry encodes it once."""
+    ints = xi._fenc
+    if ints is None:
+        ints = xi._fenc = _encode_row(xi.linear.coords, xi.constant)
+    return ints
 
-    Rows built from functionals keep their encoding on the functional, so
-    repeated feasibility questions over the same geometry encode once."""
-    rows = []
-    for c in cons:
-        src = c.source
-        ints = None if src is None else src._fenc
-        if ints is None:
-            ints = _encode_row(c)
-            if src is not None:
-                src._fenc = ints
-        rows.append((c.strict, ints))
-    return rows
+
+def _rows(cons: Sequence[LinIneq]) -> list:
+    """(strict, integer row) pairs."""
+    return [
+        (c.strict, _encode_row(c.coeffs, c.const) if c.source is None else _row(c.source))
+        for c in cons
+    ]
 
 
 # -- elimination ------------------------------------------------------------------

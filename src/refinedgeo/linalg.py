@@ -123,7 +123,7 @@ class AffineFunctional:
     def __init__(self, linear, constant=0):
         self.linear = linear if isinstance(linear, Vec) else Vec(linear)
         self.constant = to_scalar(constant)
-        self._fenc = None  # fm caches this row here: the tower encoding cleared to integers
+        self._fenc = None  # fm._row caches the tower encoding cleared to integers here
 
     @property
     def dim(self) -> int:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from conftest import deadline
 
+from refinedgeo import algebra
 from refinedgeo.algebra import (
     ConventionalPolytope,
     RefinedPolytope,
@@ -176,6 +177,44 @@ def test_lift_rejects_impure_input():
         lift(ConventionalPolytope(2, [good, flat]))
     lift(ConventionalPolytope(2, [good]))  # pure input passes
 
+
+def _af(linear, const) -> AffineFunctional:
+    return AffineFunctional(Vec(*linear), const)
+
+
+IMPURE_PIECES = {
+    "plane-segment": (PLANE, [_af((0, 1), 0), _af((0, -1), 0), _af((1, 0), 0), _af((-1, 0), 1)], 1),
+    "plane-point": (PLANE, [_af((1, 0), 0), _af((-1, 0), 0), _af((0, 1), 0), _af((0, -1), 0)], 0),
+    "plane-empty": (PLANE, [_af((0, 1), -1), _af((0, -1), 0)], -1),
+    "negative-constant": (PLANE, [_af((1, 0), 0), _af((0, 0), -1)], -1),
+    "line-point": (LINE, [_af((1,), 0), _af((-1,), 0)], 0),
+    "space-flat": (
+        Carrier.full(3),
+        [_af((0, 0, 1), 0), _af((0, 0, -1), 0), _af((1, 0, 0), 0), _af((0, 1, 0), 0),
+         _af((-1, -1, 0), 1)],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPURE_PIECES))
+def test_lift_reports_the_rank_of_an_impure_piece(name, monkeypatch):
+    """The rank in the message is computed only once a piece fails, and the
+    message is the same as it always was; pure pieces lift without it."""
+    carrier, functionals, dim = IMPURE_PIECES[name]
+    k = carrier.dim
+    pure = ClosedPiece(carrier, [_af([1 if j == i else 0 for j in range(k)], 0) for i in range(k)])
+    bad = ClosedPiece(carrier, functionals)
+    with pytest.raises(GeometryError) as err:
+        lift(ConventionalPolytope(k, [pure, bad, pure]))
+    assert str(err.value) == f"cannot lift: piece 2 of 3 has rank {dim}, expected {k}"
+
+    def no_rank(*args):
+        raise AssertionError("affine_dim on the success path")
+
+    monkeypatch.setattr(algebra, "affine_dim", no_rank)
+    lifted = lift(ConventionalPolytope(k, [pure, pure]))
+    assert len(lifted.cells) == 2
 
 def test_triangle_boundary_edges_are_disjoint():
     corners = [Vec(0, 0), Vec(4, 0), Vec(0, 3)]
