@@ -349,7 +349,7 @@ class Cell:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            if self._parent is not None or self._cycle is not None:
+            if self._parent is not None:
                 self._edges()
             else:
                 self._empty = not feasible(self._strict_system(), self.carrier.dim)
