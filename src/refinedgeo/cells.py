@@ -274,8 +274,8 @@ class ClosedPiece:
                 points = []
                 for i, (x, y, w) in enumerate(verts):
                     if w and labels[i] != labels[i - 1]:
-                        inv = _inverse(w)
-                        points.append((_scalar(_mul(x, inv)), _scalar(_mul(y, inv))))
+                        inum, iden = _inverse(w)
+                        points.append((_scalar(_mul(x, inum), iden), _scalar(_mul(y, inum), iden)))
             else:
                 points = vertices(self._system(), self.carrier.dim)
             self._vertices = [self.carrier.embed_point(Vec(*p)) for p in points]

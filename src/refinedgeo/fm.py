@@ -11,13 +11,13 @@ and no parent, for witnesses (``sample_point``) and for ranks
 system, such as a closed piece built directly.
 
 Every scalar lies in the square-root tower of ``scalars``, whose encoding is
-a sparse vector over the monomial basis of the tower's generators.  The
-solver reads that encoding directly and clears each row's denominators to
-integers, so elimination, substitution and Cramer's rule are integer
-arithmetic on the same vectors.  Signs come from the tower's exact integer
-enclosure, with no float used; the recursive norm rule decides only when
-the enclosure contains 0.  Each output coordinate is one quotient of two
-vectors.
+a sparse vector of integer numerators over the monomial basis of the tower's
+generators, above one positive denominator.  The solver reads that encoding
+directly and brings each row over one denominator, which it drops, so
+elimination, substitution and Cramer's rule are integer arithmetic on the
+same vectors.  Signs come from the tower's exact integer enclosure, with no
+float used; the recursive norm rule decides only when the enclosure contains
+0.  Each output coordinate is one quotient of two vectors.
 Feasibility answers are definitive, and sample points and vertices are exact.
 """
 
@@ -34,11 +34,11 @@ from .scalars import (
     _add,
     _inverse,
     _mul,
+    _pair,
     _scalar,
     _scale,
     _sign,
     _sub,
-    _terms,
     sign,
     to_scalar,
 )
@@ -89,17 +89,12 @@ class LinIneq:
 
 
 def _encode_row(coeffs: Sequence[Scalar], const: Scalar) -> list:
-    """Integer sparse encoding of one row: coefficients, then the constant."""
-    encoded = [_terms(s) for s in coeffs]
-    encoded.append(_terms(const))
-    d = 1
-    for e in encoded:
-        for v in e.values():
-            d = lcm(d, v.denominator)
-    return [
-        {m: (v.numerator * d) // v.denominator for m, v in e.items()}
-        for e in encoded
-    ]
+    """Integer sparse encoding of one row: coefficients, then the constant,
+    their numerators brought over one denominator."""
+    encoded = [_pair(s) for s in coeffs]
+    encoded.append(_pair(const))
+    d = lcm(*(den for _, den in encoded))
+    return [num if den == d else _scale(num, d // den) for num, den in encoded]
 
 
 def _row(xi: AffineFunctional) -> list:
@@ -299,7 +294,8 @@ def sample_point(cons: Sequence[LinIneq], nvars: int) -> Optional[list[Scalar]]:
         values[var] = _choose(*bounds)
     point = [_ZERO] * nvars
     for var, (num, den) in values.items():
-        point[var] = _scalar(_mul(num, _inverse(den)))
+        inum, iden = _inverse(den)
+        point[var] = _scalar(_mul(num, inum), iden)
     for c in cons:
         if not c.satisfied(point):  # exact self-check, never expected to fire
             return None
@@ -411,6 +407,6 @@ def vertices(cons: Sequence[LinIneq], nvars: int) -> list[list[Scalar]]:
         if duplicate:
             continue
         found.append((nums, det))
-        inv = _inverse(det)
-        out.append([_scalar(_mul(n, inv)) for n in nums])
+        inum, iden = _inverse(det)
+        out.append([_scalar(_mul(n, inum), iden) for n in nums])
     return out

@@ -123,7 +123,7 @@ class AffineFunctional:
     def __init__(self, linear, constant=0):
         self.linear = linear if isinstance(linear, Vec) else Vec(linear)
         self.constant = to_scalar(constant)
-        self._fenc = None  # fm._row caches the tower encoding cleared to integers here
+        self._fenc = None  # fm._row caches the integer row over one denominator here
 
     @property
     def dim(self) -> int:
@@ -310,6 +310,8 @@ class Carrier:
         return self.base.dim
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Carrier):
             return NotImplemented
         return (

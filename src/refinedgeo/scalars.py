@@ -3,13 +3,15 @@
 A scalar is either a ``fractions.Fraction`` or a ``QuadExt``.  Every square
 root the library meets is a generator sqrt(R_i) of one tower, each radicand
 R_i a positive integer or a value encoded over earlier generators, and a
-``QuadExt`` is a sparse vector over the monomial basis of those generators.
-Arithmetic multiplies monomials and folds a repeated generator into its
-radicand, so a generator never sits below itself.  New generators come only
-from ``adjoin_sqrt``.  A sign is read from an exact integer enclosure of the
-value (integer square roots at a fixed 2^-64 scale, rounded outward), and
-the recursive norm rule decides only when that enclosure contains 0.  No
-floating point ever participates in a decision; ``float()`` exists for
+``QuadExt`` is a sparse vector of integer numerators over the monomial basis
+of those generators, above one positive integer denominator.  Arithmetic
+multiplies monomials and folds a repeated generator into its radicand, so a
+generator never sits below itself; every operation runs on integers and
+reduces to lowest terms once, at the end.  New generators come only from
+``adjoin_sqrt``.  A sign is read from an exact integer enclosure of the
+numerators (integer square roots at a fixed 2^-64 scale, rounded outward),
+and the recursive norm rule decides only when that enclosure contains 0.
+No floating point ever participates in a decision; ``float()`` exists for
 rendering only.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .errors import GeometryError, ParseError
@@ -56,20 +59,22 @@ def to_scalar(x) -> Scalar:
 
 # -- the tower encoding --------------------------------------------------------
 #
-# Generator i is sqrt(R_i) with R_i > 0.  A value is a sparse dict over the
-# monomial basis of the generators,
-#     value = sum over bitmasks m of coeff[m] * prod(sqrt(R_i) for i in m),
+# Generator i is sqrt(R_i) with R_i > 0.  A value is a sparse dict of
+# integers over the monomial basis of the generators and one positive
+# integer denominator,
+#     value = (sum over bitmasks m of num[m] * prod(sqrt(R_i) for i in m)) / den,
 # and each radicand R_i is an int or, for a nested root, an integer dict over
 # generators below i.  adjoin_sqrt encodes a radicand before it registers
-# the root, so that order holds by construction.  A sign comes first from an
-# integer enclosure of the value (see _BOX below); no float is used.  Only
-# when the enclosure contains 0 does the norm rule decide: it splits the
-# value on its top generator as p + q*sqrt(R) and compares p^2 with q^2*R.
-# Neither step assumes that the generators are independent (sqrt(2+sqrt2)
-# and sqrt(2-sqrt2) get separate bits although their product is sqrt2), so
-# every sign is exact.  A value that is 0 with a nonempty encoding is caught
-# by its sign.  Scalars carry Fraction coefficients; fm clears its rows to
-# integers and runs the same helpers on them.
+# the root, so that order holds by construction.  The helpers below work on
+# the integer dicts alone; since den > 0, a value's sign is its dict's sign.
+# A sign comes first from an integer enclosure of the dict (see _BOX below);
+# no float is used.  Only when the enclosure contains 0 does the norm rule
+# decide: it splits the dict on its top generator as p + q*sqrt(R) and
+# compares p^2 with q^2*R.  Neither step assumes that the generators are
+# independent (sqrt(2+sqrt2) and sqrt(2-sqrt2) get separate bits although
+# their product is sqrt2), so every sign is exact.  A value that is 0 with a
+# nonempty encoding is caught by its sign.  fm brings each row over one
+# denominator and drops it, and runs the same helpers.
 
 # The generators seen so far.  The registry is process-wide and only ever
 # appends, so encodings cached on functionals stay valid.
@@ -116,19 +121,14 @@ def _box(mask: int) -> tuple[int, int]:
 
 
 def _enclose(val: dict) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2**64 * val <= hi; int or Fraction coefficients."""
+    """(lo, hi) with lo <= 2**64 * val <= hi, for an integer dict."""
     lo = hi = 0
     for m, c in val.items():
         blo, bhi = _BOX.get(m) or _box(m)
-        n, d = c.numerator, c.denominator
-        if n < 0:
+        if c < 0:
             blo, bhi = bhi, blo
-        if d == 1:
-            lo += n * blo
-            hi += n * bhi
-        else:
-            lo += (n * blo) // d
-            hi -= (-n * bhi) // d
+        lo += c * blo
+        hi += c * bhi
     return lo, hi
 
 
@@ -219,9 +219,10 @@ def _add(a: dict, b: dict) -> dict:
     return out
 
 
-def _inverse(den: dict) -> dict:
-    """1/den: den is made rational by multiplying through with its
-    conjugate on the top generator, one generator at a time."""
+def _inverse(den: dict) -> tuple[dict, int]:
+    """1/den as (num, d) with d a positive int: den is made rational by
+    multiplying through with its conjugate on the top generator, one
+    generator at a time."""
     num: dict = {0: 1}
     while den and max(den):
         flag = 1 << (max(den).bit_length() - 1)
@@ -233,34 +234,54 @@ def _inverse(den: dict) -> dict:
     # A zero value stays zero through every step and ends as {}.
     if not den:
         raise ZeroDivisionError("division by zero scalar")
-    return _scale(num, Fraction(1, den[0]))
+    d = den[0]
+    return (num, d) if d > 0 else (_scale(num, -1), -d)
 
 
-def _terms(x) -> Optional[dict]:
-    """The encoding of an exact operand; None for anything else."""
+def _pair(x) -> Optional[tuple[dict, int]]:
+    """(numerators, positive denominator) of an exact operand; None for
+    anything else."""
     if isinstance(x, QuadExt):
-        return x.terms
+        return x.terms, x.den
     if isinstance(x, Fraction):
-        return {0: x} if x else {}
+        n = x.numerator
+        return ({0: n} if n else {}), x.denominator
     if isinstance(x, int) and not isinstance(x, bool):
-        return {0: Fraction(x)} if x else {}
+        return ({0: x} if x else {}), 1
     return None
 
 
-def _scalar(terms: dict) -> Scalar:
-    """The scalar of an encoding: a Fraction once no generator is left."""
-    if not terms:
+def _scalar(num: dict, den: int = 1) -> Scalar:
+    """The scalar num/den (den > 0) in lowest terms: a Fraction once no
+    generator is left."""
+    if not num:
         return _ZERO
-    if len(terms) == 1 and 0 in terms:
-        return terms[0]
-    return QuadExt(terms)
+    if len(num) == 1 and 0 in num:
+        return Fraction(num[0], den)
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {m: v // g for m, v in num.items()}
+        den //= g
+    return QuadExt(num, den)
+
+
+def _over(a: dict, da: int, b: dict, db: int) -> tuple[dict, dict, int]:
+    """a/da and b/db brought over one denominator: (a', b', d)."""
+    if da == db:
+        return a, b, da
+    g = gcd(da, db)
+    return _scale(a, db // g), _scale(b, da // g), da // g * db
+
+
+def _quotient(a: dict, da: int, b: dict, db: int) -> tuple[dict, int]:
+    """(a/da) / (b/db) as (num, positive den)."""
+    inum, iden = _inverse(b)
+    return _scale(_mul(a, inum), db), da * iden
 
 
 def _radicand(bit: int) -> Scalar:
     r = _RADICANDS[bit]
-    if isinstance(r, int):
-        return Fraction(r)
-    return _scalar({m: Fraction(v) for m, v in r.items()})
+    return Fraction(r) if isinstance(r, int) else _scalar(r)
 
 
 def _sign_of(x: Scalar) -> int:
@@ -279,72 +300,80 @@ def sign(x) -> int:
 
 
 class QuadExt:
-    """An irrational scalar: a sparse vector over the tower's monomial basis.
+    """An irrational scalar: integer numerators over the tower's monomial
+    basis, above one positive integer denominator.
 
-    ``terms`` maps a bitmask of generators to a nonzero Fraction and holds
-    at least one generator; a result with none left is a Fraction instead.
-    Its value can still be 0 (sqrt2*sqrt3 - sqrt6), which its sign shows.
-    Instances are immutable and deliberately unhashable: distinct encodings
-    can denote the same value, so no hash can agree with ``==``.  Code that
-    groups scalars scans lists with exact equality instead of using dicts.
+    ``terms`` maps a bitmask of generators to a nonzero int and holds at
+    least one generator; ``den`` is a positive int, and the gcd of ``den``
+    and every numerator is 1.  The value is ``terms / den``.  A result with
+    no generator left is a Fraction instead.  Its value can still be 0
+    (sqrt2*sqrt3 - sqrt6), which its sign shows.  Instances are immutable
+    and deliberately unhashable: distinct encodings can denote the same
+    value, so no hash can agree with ``==``.  Code that groups scalars scans
+    lists with exact equality instead of using dicts.
     """
 
-    __slots__ = ("terms", "_sgn")
+    __slots__ = ("terms", "den", "_sgn")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, den: int):
         self.terms = terms
+        self.den = den
         self._sgn: Optional[int] = None
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_add(self.terms, o))
+        a, b, d = _over(self.terms, self.den, *o)
+        return _scalar(_add(a, b), d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt({m: -v for m, v in self.terms.items()})
+        return QuadExt({m: -v for m, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_sub(self.terms, o))
+        a, b, d = _over(self.terms, self.den, *o)
+        return _scalar(_sub(a, b), d)
 
     def __rsub__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_sub(o, self.terms))
+        a, b, d = _over(self.terms, self.den, *o)
+        return _scalar(_sub(b, a), d)
 
     def __mul__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_mul(self.terms, o))
+        b, db = o
+        return _scalar(_mul(self.terms, b), self.den * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_mul(self.terms, _inverse(o)))
+        return _scalar(*_quotient(self.terms, self.den, *o))
 
     def __rtruediv__(self, other):
-        o = _terms(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return _scalar(_mul(o, _inverse(self.terms)))
+        return _scalar(*_quotient(*o, self.terms, self.den))
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         if n < 0:
-            return _scalar(_inverse(self.terms)) ** (-n)
+            return _scalar(*_quotient({0: 1}, 1, self.terms, self.den)) ** (-n)
         result: Scalar = Fraction(1)
         base: Scalar = self
         while n:
@@ -357,8 +386,11 @@ class QuadExt:
     # -- order ---------------------------------------------------------------
 
     def _cmp(self, other) -> Optional[int]:
-        o = _terms(other)
-        return None if o is None else _sign(_sub(self.terms, o))
+        o = _pair(other)
+        if o is None:
+            return None
+        a, b, _ = _over(self.terms, self.den, *o)
+        return _sign(_sub(a, b))
 
     def __eq__(self, other):
         s = self._cmp(other)
@@ -395,7 +427,7 @@ class QuadExt:
     # -- rendering only --------------------------------------------------------
 
     def __float__(self) -> float:
-        return _float(self.terms)
+        return _float(self.terms, self.den)
 
     def __str__(self) -> str:
         return scalar_str(self)
@@ -404,16 +436,16 @@ class QuadExt:
         return scalar_str(self)
 
 
-def _float(val: dict) -> float:
+def _float(val: dict, den: int) -> float:
     if not val:
         return 0.0
     top = max(val).bit_length() - 1
     if top < 0:
-        return float(val[0])
+        return val[0] / den
     p, q = _split(val, top)
     r = _RADICANDS[top]
-    root = math.sqrt(max(0.0, float(r) if isinstance(r, int) else _float(r)))
-    return _float(p) + _float(q) * root
+    root = math.sqrt(max(0.0, float(r) if isinstance(r, int) else _float(r, 1)))
+    return _float(p, den) + _float(q, den) * root
 
 
 # -- square roots ---------------------------------------------------------------
@@ -438,14 +470,14 @@ def exact_sqrt(x: Scalar) -> Optional[Scalar]:
         return None
     top = max(x.terms).bit_length() - 1
     p, q = _split(x.terms, top)
-    a, b, r = _scalar(p), _scalar(q), _radicand(top)
+    a, b, r = _scalar(p, x.den), _scalar(q, x.den), _radicand(top)
     # Candidate sqrt(x) = c + d*sqrt(r): then a = c^2 + d^2 r, b = 2cd, and
     # the norm a^2 - b^2 r must be a perfect square (c^2 - d^2 r)^2.
     n = a * a - b * b * r
     if _sign_of(n) >= 0:
         sn = exact_sqrt(n)
         if sn is not None:
-            root = QuadExt({1 << top: Fraction(1)})
+            root = QuadExt({1 << top: 1}, 1)
             for c_sq in ((a + sn) / 2, (a - sn) / 2):
                 if _sign_of(c_sq) <= 0:
                     continue
@@ -477,19 +509,16 @@ def adjoin_sqrt(x) -> Scalar:
     root = exact_sqrt(x)
     if root is not None:
         return root
-    r = _terms(x)
-    # sqrt(R) = sqrt(R * D^2) / D with an integer radicand R * D^2.
-    d = 1
-    for v in r.values():
-        d = math.lcm(d, v.denominator)
-    r = {m: (v * d * d).numerator for m, v in r.items()}
+    num, d = _pair(x)
+    # sqrt(num / d) = sqrt(num * d) / d with an integer radicand num * d.
+    r = _scale(num, d)
     key = r[0] if len(r) == 1 and 0 in r else tuple(sorted(r.items()))
     bit = _INDEX.get(key)
     if bit is None:
         bit = len(_RADICANDS)
         _INDEX[key] = bit
         _RADICANDS.append(key if isinstance(key, int) else r)
-    return QuadExt({1 << bit: Fraction(1, d)})
+    return QuadExt({1 << bit: 1}, d)
 
 
 # -- integer rounding (exact, float-assisted only as a starting hint) -------------
@@ -611,7 +640,7 @@ def scalar_str(x) -> str:
         return str(x)
     top = max(x.terms).bit_length() - 1
     p, q = _split(x.terms, top)
-    a, b = _scalar(p), _scalar(q)
+    a, b = _scalar(p, x.den), _scalar(q, x.den)
     root = f"sqrt({scalar_str(_radicand(top))})"
     sb = _sign_of(b)
     mag = -b if sb < 0 else b

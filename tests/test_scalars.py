@@ -387,7 +387,8 @@ def test_enclosure_falls_back_on_hidden_zeros_and_pell_near_zeros():
 
 
 def test_enclosure_contains_the_value():
-    # lo <= 2^64 * x <= hi, checked exactly by the norm rule.
+    # lo <= 2^64 * den * x <= hi for the numerators x.terms = den * x,
+    # checked exactly by the norm rule.
     rng = random.Random(7)
     with deadline(20, "enclosure bounds"):
         for tower in sorted(TOWERS):
@@ -396,8 +397,9 @@ def test_enclosure_contains_the_value():
                 if not isinstance(x, QuadExt):
                     continue
                 lo, hi = sc._enclose(x.terms)
-                assert _reference_sign(sc._terms(x * (1 << 64) - lo)) >= 0
-                assert _reference_sign(sc._terms(hi - x * (1 << 64))) >= 0
+                scaled = x * (x.den << 64)
+                assert _reference_sign(sc._pair(scaled - lo)[0]) >= 0
+                assert _reference_sign(sc._pair(hi - scaled)[0]) >= 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -412,3 +414,144 @@ def test_enclosure_sign_matches_norm_rule_property(tower, terms, tiny):
     with deadline(20, "enclosure property"):
         _check_sign(x)
         _check_sign(HIDDEN_ZEROS[tiny % 2] * x + Fraction(tiny, 1 << 70))
+
+
+# -- the integer encoding against Fraction-coefficient dicts -------------------
+#
+# A QuadExt keeps integer numerators over one positive denominator.  The
+# reference runs the same generic dict helpers on Fraction coefficients, with
+# its own conjugate inverse, and every result must denote the same dict
+# exactly, not merely share its sign.  This catches a missing gcd reduce, an
+# inverse that keeps a negative denominator, and a sum over two denominators
+# that scales the wrong side.
+
+
+def _fdict(x) -> dict:
+    """A scalar's value as a Fraction-coefficient dict."""
+    if isinstance(x, QuadExt):
+        return {m: Fraction(v, x.den) for m, v in x.terms.items()}
+    return {0: Fraction(x)} if x else {}
+
+
+def _fsign(d: dict) -> int:
+    """The norm rule on a Fraction-coefficient dict, cleared to integers."""
+    scale = math.lcm(*(v.denominator for v in d.values())) if d else 1
+    return _reference_sign({m: int(v * scale) for m, v in d.items()})
+
+
+def _finverse(d: dict) -> dict:
+    num = {0: Fraction(1)}
+    while d and max(d):
+        flag = 1 << (max(d).bit_length() - 1)
+        conj = {m: -v if m & flag else v for m, v in d.items()}
+        if _fsign(conj) == 0:
+            d = {m: 2 * v for m, v in d.items() if not m & flag}
+        else:
+            num, d = sc._mul(num, conj), sc._mul(d, conj)
+    return sc._scale(num, 1 / d[0])
+
+
+def _fpow(d: dict, n: int) -> dict:
+    if n < 0:
+        d, n = _finverse(d), -n
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = sc._mul(out, d)
+    return out
+
+
+def _check_encoding(x) -> None:
+    if isinstance(x, QuadExt):
+        assert type(x.den) is int and x.den > 0
+        assert x.terms and max(x.terms) > 0
+        assert all(type(v) is int and v for v in x.terms.values())
+        assert math.gcd(x.den, *x.terms.values()) == 1
+    else:
+        assert isinstance(x, Fraction)
+
+
+def _agrees(result, reference: dict) -> None:
+    _check_encoding(result)
+    assert _fdict(result) == reference
+    assert isinstance(result, Fraction) == (not reference or set(reference) == {0})
+
+
+def _operand(rng: random.Random, roots):
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.randint(-9, 9)
+    if kind < 0.4:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    return _tower_value(rng, roots)
+
+
+def _check_pair(x, y) -> None:
+    fx, fy = _fdict(x), _fdict(y)
+    _agrees(x + y, sc._add(fx, fy))
+    _agrees(y + x, sc._add(fy, fx))
+    _agrees(x - y, sc._sub(fx, fy))
+    _agrees(y - x, sc._sub(fy, fx))
+    _agrees(x * y, sc._mul(fx, fy))
+    _agrees(y * x, sc._mul(fy, fx))
+    _agrees(-x, sc._scale(fx, -1))
+    s = _fsign(sc._sub(fx, fy))
+    assert ((x < y), (x <= y), (x == y), (x != y), (x >= y), (x > y)) == (
+        s < 0, s <= 0, s == 0, s != 0, s >= 0, s > 0
+    )
+    assert ((y < x), (y == x), (y > x)) == (s > 0, s == 0, s < 0)
+    if _fsign(fy):
+        _agrees(x / y, sc._mul(fx, _finverse(fy)))
+    if _fsign(fx):
+        _agrees(y / x, sc._mul(fy, _finverse(fx)))
+
+
+def _check_roots(rng: random.Random, x) -> None:
+    fx = _fdict(x)
+    if isinstance(x, QuadExt) and _fsign(fx):
+        for n in (-3, -2, -1, 0, 1, 2, 3):
+            _agrees(x**n, _fpow(fx, n))
+    square = x * x
+    root = exact_sqrt(square)
+    if root is not None:
+        _check_encoding(root)
+        assert _fsign(_fdict(root)) >= 0
+        assert _fsign(sc._sub(sc._mul(_fdict(root), _fdict(root)), _fdict(square))) == 0
+    if isinstance(x, QuadExt) and set(x.terms) == {0} | set(SQRT2.terms):
+        # Over Q(sqrt2) the dict of a value is unique: the root is |x|.
+        _agrees(root, _fdict(abs(x)))
+    if _fsign(fx) > 0 and rng.random() < 0.2:
+        root = adjoin_sqrt(x)
+        _check_encoding(root)
+        if exact_sqrt(x) is None:
+            # The radicand is x cleared by the lcm L of its denominators
+            # and times L, registered as an integer dict; the root is
+            # that generator over L.
+            lcm = math.lcm(*(v.denominator for v in fx.values()))
+            radicand = {m: int(v * lcm * lcm) for m, v in fx.items()}
+            assert len(root.terms) == 1
+            (mask,) = root.terms
+            registered = sc._RADICANDS[mask.bit_length() - 1]
+            assert registered == (radicand[0] if set(radicand) == {0} else radicand)
+            _agrees(root, {mask: Fraction(1, lcm)})
+        assert _fsign(sc._sub(sc._mul(_fdict(root), _fdict(root)), fx)) == 0
+    text = scalar_str(x)
+    back = parse_scalar(text)
+    _check_encoding(back)
+    assert _fsign(sc._sub(_fdict(back), fx)) == 0
+    assert scalar_str(back) == text
+
+
+@pytest.mark.parametrize("tower", sorted(TOWERS))
+def test_integer_encoding_matches_fraction_dicts(tower):
+    rng = random.Random(f"encoding-{tower}")
+    roots = TOWERS[tower]
+    with deadline(30, f"encoding differential, {tower}"):
+        for _ in range(150):
+            x, y = _tower_value(rng, roots), _operand(rng, roots)
+            _check_pair(x, y)
+            _check_roots(rng, x)
+        for zero in HIDDEN_ZEROS:
+            x = _tower_value(rng, roots)
+            _check_pair(x, zero)
+            _check_pair(zero, x)
+            _check_pair(zero * x + Fraction(1, 1 << 70), x)
