@@ -15,6 +15,17 @@ closing/lift pair moves between refined polytopes and conventional weak
 ones.  Everything is exact.  Emptiness is decided by ``cells``: plane
 cells clip their parent's edge cycle, others ask ``fm`` about the strict
 system.
+
+Partitions of bounded plane figures are certified by boundary
+cancellation, which clips no part: when the parts' counterclockwise boundary
+edges minus the whole's cancel, the parts cover the whole once almost
+everywhere, and a defect would be a refined cell of positive area
+(``partition_failure`` gives the argument, after Guibas and Stolfi's
+planar subdivisions and the paper's equivalence of the refined and the
+conventional plane "in a sense").  Edge ends are keyed by exact encodings;
+a value with two encodings only splits a group that must then cancel part
+by part, so a missed match falls back to the clipping checks, never to a
+wrong "holds".
 """
 
 from __future__ import annotations
@@ -27,12 +38,13 @@ from .errors import GeometryError
 from .fm import LinIneq, affine_dim
 from .linalg import Carrier, Vec, carrier_intersection, restrict_functional
 from .resolution import RefinedPoint
-from .scalars import Scalar, ceil_scalar, floor_scalar, sign
+from .scalars import Scalar, sign
 
 __all__ = [
     "ConventionalPolytope",
     "RefinedPolytope",
     "area",
+    "boundary_cancels",
     "closing",
     "contains_point",
     "difference",
@@ -42,8 +54,10 @@ __all__ = [
     "is_empty",
     "is_subset",
     "lift",
+    "partition_certified",
     "partition_check",
     "partition_failure",
+    "plane_cycles",
     "rank_drop_check",
     "union",
 ]
@@ -319,8 +333,19 @@ def area(p: RefinedPolytope) -> Scalar:
 # -- partitions --------------------------------------------------------------------
 
 
-def _closure_vertices(p: RefinedPolytope) -> Optional[list[list[Vec]]]:
-    """Vertex positions of each cell closure; None when one is unbounded."""
+def _exact_key(x: Scalar):
+    """A dict key for an exact value: a Fraction itself, a QuadExt its
+    encoding ``(den, sorted terms)``.  Equal keys are equal values; one
+    value may have several encodings (sqrt2*sqrt3 and sqrt6), and then
+    several keys."""
+    return x if isinstance(x, Fraction) else (x.den, tuple(sorted(x.terms.items())))
+
+
+def plane_cycles(p: RefinedPolytope) -> Optional[list[list[Vec]]]:
+    """Each cell closure's vertices, counterclockwise; None unless p is a
+    rank-2 plane polytope whose cells are all bounded."""
+    if p.rank != 2 or (p.cells and p.ambient_dim != 2):
+        return None
     out = []
     for cell in p.cells:
         piece = cell.closure()
@@ -330,45 +355,55 @@ def _closure_vertices(p: RefinedPolytope) -> Optional[list[list[Vec]]]:
     return out
 
 
-_BOX_GRID = 2**16
+def boundary_cancels(signed_cycles: Iterable[tuple[int, Sequence[Vec]]]) -> bool:
+    """True when the weighted counterclockwise boundaries of the cycles sum
+    to the zero 1-chain; False may also mean that equal values got unequal
+    keys.
+
+    An edge adds its weight at its start and subtracts it at its end, keyed
+    by (supporting line, point on the line): a line by slope and intercept,
+    or by x when vertical, and a point by x, or by y when vertical.  On one
+    line these sums are the jumps of the oriented multiplicity along it,
+    so they all vanish exactly when the chain does there.  Keys are exact
+    encodings (``_exact_key``): a value with two encodings splits a group
+    in two, and each part must then cancel on its own, which the true sum
+    only makes harder.  So a missed match answers False, never a wrong
+    True."""
+    chain: dict = {}
+    for weight, cycle in signed_cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            dx = b[0] - a[0]
+            if sign(dx) == 0:
+                line, s, t = (None, _exact_key(a[0])), a[1], b[1]
+            else:
+                slope = (b[1] - a[1]) / dx
+                line = (_exact_key(slope), _exact_key(a[1] - slope * a[0]))
+                s, t = a[0], b[0]
+            start, end = (line, _exact_key(s)), (line, _exact_key(t))
+            chain[start] = chain.get(start, 0) + weight
+            chain[end] = chain.get(end, 0) - weight
+    return not any(chain.values())
 
 
-def _on_grid(x: Scalar, rounding) -> Fraction:
-    """x itself when rational, else its floor or ceiling on the box grid."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(rounding(x * _BOX_GRID), _BOX_GRID)
-
-
-def _bounding_box(vertex_lists: Optional[list[list[Vec]]]) -> Optional[tuple[list, list]]:
-    """Componentwise range of closure vertices, rounded outward to a dyadic
-    grid so that box comparisons are rational; None when unbounded or empty."""
-    if vertex_lists is None:
-        return None
-    lo: Optional[list] = None
-    hi: Optional[list] = None
-    for vertices in vertex_lists:
-        for v in vertices:
-            if lo is None:
-                lo = list(v)
-                hi = list(v)
-                continue
-            for c in range(len(lo)):
-                if sign(v[c] - lo[c]) < 0:
-                    lo[c] = v[c]
-                if sign(v[c] - hi[c]) > 0:
-                    hi[c] = v[c]
-    if lo is None:
-        return None
-    return [_on_grid(x, floor_scalar) for x in lo], [_on_grid(x, ceil_scalar) for x in hi]
-
-
-def _boxes_apart(a, b) -> bool:
-    """Strict separation of closed boxes; touching boxes are not apart."""
-    if a is None or b is None:
+def partition_certified(parts: Sequence[RefinedPolytope], whole: RefinedPolytope) -> bool:
+    """True when boundary cancellation proves that the parts partition the
+    whole (the argument is in ``partition_failure``); False means only that
+    it does not apply or does not decide.  Chains are compared first, since
+    they need no clipping; the whole's cells are then checked for pairwise
+    disjointness."""
+    cycles = [plane_cycles(x) for x in parts]
+    whole_cycles = plane_cycles(whole)
+    if whole_cycles is None or any(c is None for c in cycles):
         return False
-    (alo, ahi), (blo, bhi) = a, b
-    return any(ahi[c] < blo[c] or bhi[c] < alo[c] for c in range(len(alo)))
+    signed = [(1, c) for cs in cycles for c in cs] + [(-1, c) for c in whole_cycles]
+    if not boundary_cancels(signed):
+        return False
+    cells = whole.cells
+    return all(
+        cells[i].with_extra(cells[j].constraints).is_empty()
+        for i in range(len(cells))
+        for j in range(i + 1, len(cells))
+    )
 
 
 def partition_failure(
@@ -377,25 +412,36 @@ def partition_failure(
     """None when the parts partition the whole; otherwise a reason and a
     refined-point witness of the failure.
 
-    The checks run in order: pairwise overlap, spill outside the whole,
-    cover.  For a bounded rank-2 whole in the plane, cover is certified by
-    exact area: once the parts are pairwise disjoint and inside the whole,
-    their closures meet in rank < 2, so equal total area leaves the
-    difference of whole and parts an area-0 set.  A nonempty rank-2 cell
-    has a nonempty open interior, hence positive area, so that difference
-    is empty.  When the areas differ, the difference is computed as in
-    every other case and yields the witness.
+    Boundary cancellation (``partition_certified``) is tried first.  It
+    applies when every cell of the parts and of the whole is a bounded
+    rank-2 cell in the plane; such a nonempty cell has a nonempty open
+    interior.
+      1. If the parts' counterclockwise boundary edges minus the whole's
+         sum to the zero 1-chain, the sum of the part cells' interior
+         indicators equals that of the whole's cells almost everywhere:
+         their difference is a winding number, linear in the chain and 0
+         far away.
+      2. If also the whole's cells are pairwise disjoint, that sum is the
+         indicator of the whole W, so the part cells are pairwise
+         interior-disjoint and cover W up to measure 0.
+      3. Lifts of interior-disjoint convex cells are refined-disjoint, and
+         a nonempty rank-2 cell of an overlap, a spill or a gap would have
+         positive area.  So the parts partition W in the refined sense.
+      4. The chain needs no clipping: each edge adds +1 at its start and
+         -1 at its end, keyed by exact supporting line and position
+         (``boundary_cancels``), and every sum must be 0.
+      5. The same argument without step 2 shows that two unions of such
+         cells with equal chains are equal (``verify_decomposition``).
+    The certificate only ever answers "holds".  Otherwise the checks run
+    in order, each with a witness: pairwise overlap, spill outside the
+    whole, cover.
     """
     for part in parts:
         _check_ranks(part, whole)
-    # Strictly separated bounding boxes prove disjointness outright, which
-    # spares the quadratic overlap scan most of its feasibility work.
-    vertex_lists = [_closure_vertices(part) for part in parts]
-    boxes = [_bounding_box(vl) for vl in vertex_lists]
+    if partition_certified(parts, whole):
+        return None
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if _boxes_apart(boxes[i], boxes[j]):
-                continue
             overlap = intersect(parts[i], parts[j])
             if overlap.cells:
                 return (
@@ -408,17 +454,6 @@ def partition_failure(
     excess = difference(total, whole)
     if excess.cells:
         return ("parts spill outside the whole", excess.cells[0].witness())
-    if (
-        whole.rank == 2
-        and whole.ambient_dim == 2
-        and _closure_vertices(whole) is not None
-    ):
-        covered: Scalar = Fraction(0)
-        for part, vl in zip(parts, vertex_lists):
-            # Parts inside a bounded whole are bounded, so vl is a list.
-            covered = covered + (convex_area(vl[0]) if len(vl) == 1 else area(part))
-        if sign(area(whole) - covered) == 0:
-            return None
     missing = difference(whole, total)
     if missing.cells:
         return ("parts do not cover the whole", missing.cells[0].witness())

@@ -25,10 +25,13 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     RefinedPolytope,
     area,
+    boundary_cancels,
     equals,
     intersect,
+    partition_certified,
     partition_check,
     partition_failure,
+    plane_cycles,
 )
 from .cells import Cell, ccw_order
 from .errors import GeometryError
@@ -65,6 +68,7 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+_IDENTITY = ((_ONE, _ZERO), (_ZERO, _ONE))
 
 PLANE = Carrier.full(2)
 
@@ -95,17 +99,30 @@ class Motion:
             raise GeometryError("translation must be a plane vector")
 
     @classmethod
+    def _exact(cls, rows, translation: Vec) -> "Motion":
+        """A motion from rows already known to be orthogonal with
+        determinant 1 (products, transposes and the identity of checked
+        ones), so they are not checked again."""
+        m = object.__new__(cls)
+        m.rotation = rows
+        m.translation = translation
+        return m
+
+    @classmethod
     def identity(cls) -> "Motion":
-        return cls(((_ONE, _ZERO), (_ZERO, _ONE)), Vec(_ZERO, _ZERO))
+        return cls._exact(_IDENTITY, Vec(_ZERO, _ZERO))
 
     @classmethod
     def translation_by(cls, v: Vec) -> "Motion":
-        return cls(((_ONE, _ZERO), (_ZERO, _ONE)), v)
+        v = v if isinstance(v, Vec) else Vec(v)
+        if v.dim != 2:
+            raise GeometryError("translation must be a plane vector")
+        return cls._exact(_IDENTITY, v)
 
     @classmethod
     def rotation_about(cls, center: Vec, cos, sin) -> "Motion":
         m = cls(((cos, -to_scalar(sin)), (sin, cos)), Vec(_ZERO, _ZERO))
-        return cls(m.rotation, center - m.apply_direction(center))
+        return cls._exact(m.rotation, center - m.apply_direction(center))
 
     def apply_direction(self, v: Vec) -> Vec:
         (a, b), (c, d) = self.rotation
@@ -134,13 +151,12 @@ class Motion:
             (a * e + b * g, a * f + b * h),
             (c * e + d * g, c * f + d * h),
         )
-        return Motion(rows, self.apply_vec(other.translation))
+        return Motion._exact(rows, self.apply_vec(other.translation))
 
     def inverse(self) -> "Motion":
         (a, b), (c, d) = self.rotation
-        rows = ((a, c), (b, d))
-        inv = Motion(rows, Vec(_ZERO, _ZERO))
-        return Motion(rows, -inv.apply_direction(self.translation))
+        back = Motion._exact(((a, c), (b, d)), Vec(_ZERO, _ZERO))
+        return Motion._exact(back.rotation, -back.apply_direction(self.translation))
 
     def is_identity(self) -> bool:
         (a, b), (c, d) = self.rotation
@@ -638,7 +654,7 @@ def _chain_q_onto_rect_p(
     rot = Motion(((cos, -sin), (sin, cos)), Vec(_ZERO, _ZERO))
     if rot.apply_direction(s) != -bp or rot.apply_direction(m) != np_:
         raise GeometryError("rigid alignment failed; exact arithmetic bug")
-    chain.move(Motion(rot.rotation, (op + bp) - rot.apply_direction(o)))
+    chain.move(Motion._exact(rot.rotation, (op + bp) - rot.apply_direction(o)))
     log.append(f"{tag}: rotated onto the target rectangle")
     return chain
 
@@ -721,23 +737,38 @@ def verify_decomposition(
     d: Decomposition, p: RefinedPolytope, q: RefinedPolytope
 ) -> VerificationReport:
     """Exact checks: both partitions, per-piece motion equality, and the
-    congruence cross-check on squared vertex distances."""
+    congruence cross-check on squared vertex distances.
+
+    A partition that boundary cancellation certifies needs no clipping
+    (the five steps are in ``algebra.partition_failure``).  When both
+    sides are certified, every piece is a union of bounded rank-2 plane
+    cells, and m carries pp onto qq exactly when the boundary chain of m's
+    image of pp's cell cycles equals qq's chain.  Equal chains make the
+    sums of the two sides' interior indicators agree almost everywhere, so
+    the unions agree up to measure 0, and a nonempty rank-2 cell of either
+    difference would have positive area.  m has determinant 1, so images
+    of counterclockwise cycles stay counterclockwise.  A pair whose chains
+    differ, and every pair when a side was not certified, is decided by
+    moving pp and comparing with ``equals``, as before."""
     report = VerificationReport()
-    failure = partition_failure(d.pieces_p, p)
-    report.add(
-        "pieces partition the source polygon",
-        failure is None,
-        "" if failure is None else f"{failure[0]} at {failure[1]!r}",
-    )
-    failure = partition_failure(d.pieces_q, q)
-    report.add(
-        "pieces partition the target polygon",
-        failure is None,
-        "" if failure is None else f"{failure[0]} at {failure[1]!r}",
-    )
+    certified = True
+    for label, pieces, whole in (("source", d.pieces_p, p), ("target", d.pieces_q, q)):
+        failure = None
+        if not partition_certified(pieces, whole):
+            certified = False
+            failure = partition_failure(pieces, whole)
+        report.add(
+            f"pieces partition the {label} polygon",
+            failure is None,
+            "" if failure is None else f"{failure[0]} at {failure[1]!r}",
+        )
     for i, (pp, qq, m) in enumerate(zip(d.pieces_p, d.pieces_q, d.motions), start=1):
-        moved = m.apply_polytope(pp)
-        ok = equals(moved, qq)
+        ok = certified and boundary_cancels(
+            [(1, [m.apply_vec(v) for v in c]) for c in plane_cycles(pp)]
+            + [(-1, c) for c in plane_cycles(qq)]
+        )
+        if not ok:
+            ok = equals(m.apply_polytope(pp), qq)
         report.add(f"motion {i} carries piece {i} exactly", ok)
         sig_ok = _signatures_match(
             _congruence_signature(pp), _congruence_signature(qq)

@@ -8,6 +8,7 @@ file directly executes all eight and exits nonzero on the first failure.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction as F
@@ -270,20 +271,32 @@ def _instance(rng: random.Random, d: int, carrier: Carrier) -> RefinedPolytope:
     return RefinedPolytope(carrier.dim, cells)
 
 
+def _lex(a: Vec, b: Vec) -> int:
+    for x, y in zip(a, b):
+        if sign(x - y):
+            return sign(x - y)
+    return 0
+
+
 def _oracle_points(rng: random.Random, polys, count: int) -> list[RefinedPoint]:
-    """Refined points biased toward the instances' boundary structure."""
+    """Refined points biased toward the instances' boundary structure.
+
+    Each cell's anchors are sorted lexicographically, so that the sampled
+    instances do not depend on where a vertex cycle starts."""
     carriers = []
     anchors: list[Vec] = []
     for p in polys:
         for cell in p.cells:
             carriers.append(cell.carrier)
+            mine = []
             w = cell.witness()
             if w is not None:
-                anchors.append(w.position)
+                mine.append(w.position)
             try:
-                anchors.extend(cell.closure().vertex_positions())
+                mine.extend(cell.closure().vertex_positions())
             except GeometryError:
                 pass
+            anchors.extend(sorted(mine, key=functools.cmp_to_key(_lex)))
     out: list[RefinedPoint] = []
     while len(out) < count:
         carrier = carriers[rng.randrange(len(carriers))]

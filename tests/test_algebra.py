@@ -22,6 +22,7 @@ from refinedgeo.algebra import (
     is_empty,
     is_subset,
     lift,
+    partition_certified,
     partition_check,
     partition_failure,
     rank_drop_check,
@@ -422,7 +423,7 @@ def test_lift_closing_round_trip_randomized():
         done += 1
 
 
-# -- area certificate against the difference path -----------------------------------
+# -- boundary certificate against the difference path -------------------------------
 
 
 def _reference_partition_failure(parts, whole):
@@ -464,8 +465,8 @@ def _cuts(rng: random.Random, lo, hi, n: int) -> list:
 
 
 def _random_grid(rng: random.Random, unit):
-    """A w x h box cut into a grid of boxes; the whole is two overlapping
-    boxes, so its area takes the disjoint-union path."""
+    """A w x h box cut into a grid of boxes; the whole is two boxes that
+    overlap, which the boundary certificate must decline, or that abut."""
     w, h = unit * rng.randint(2, 4), unit * rng.randint(2, 4)
     xs = [0] + _cuts(rng, 0, w, rng.randint(2, 3))
     ys = [0] + _cuts(rng, 0, h, rng.randint(2, 3))
@@ -474,9 +475,8 @@ def _random_grid(rng: random.Random, unit):
         for i in range(len(xs) - 1)
         for j in range(len(ys) - 1)
     ]
-    whole = RefinedPolytope(
-        2, [_rect(0, w, 0, h * Fraction(2, 3)), _rect(0, w, h / 3, h)]
-    )
+    low, high = (h * Fraction(2, 3), h / 3) if rng.random() < 0.5 else (h / 2, h / 2)
+    whole = RefinedPolytope(2, [_rect(0, w, 0, low), _rect(0, w, high, h)])
     return parts, whole
 
 
@@ -506,8 +506,11 @@ def _halves(part: RefinedPolytope) -> list[RefinedPolytope]:
     ]
 
 
-def _tamper(rng: random.Random, parts: list, unit) -> tuple[str, list]:
-    kind = rng.choice(["none", "shift", "duplicate", "drop", "boundary", "merge"])
+_KINDS = ["none", "shift", "duplicate", "drop", "boundary", "merge", "self-overlap"]
+_HOLDS = ("none", "boundary", "merge", "self-overlap")
+
+
+def _tamper(rng: random.Random, parts: list, unit, kind: str) -> list:
     out = list(parts)
     k = rng.randrange(len(out))
     if kind == "shift":
@@ -521,28 +524,39 @@ def _tamper(rng: random.Random, parts: list, unit) -> tuple[str, list]:
     elif kind == "merge":
         k = min(k, len(out) - 2)
         out[k : k + 2] = [union(out[k], out[k + 1])]
-    return kind, out
+    elif kind == "self-overlap":  # the same set, with overlapping cells
+        out[k] = RefinedPolytope(2, list(out[k].cells) + list(_halves(out[k])[0].cells))
+    return out
 
 
-def test_area_certificate_matches_difference_path():
+def test_boundary_certificate_matches_difference_path():
+    """partition_failure, which tries boundary cancellation first, against
+    the reference without shortcuts: the same verdicts, reasons and
+    witnesses on true and tampered partitions, rational and tower units.
+    The certificate decides every true partition whose whole has disjoint
+    cells, and the whole's own cells as parts are judged like any other."""
     rng = random.Random(3117)
-    units = [Fraction(1), Fraction(1, 3), adjoin_sqrt(2), adjoin_sqrt(3) / 2]
-    kinds = set()
-    for trial in range(30):
+    sqrt2 = adjoin_sqrt(2)
+    units = [Fraction(1), Fraction(1, 3), sqrt2, adjoin_sqrt(3) / 2, adjoin_sqrt(2 + sqrt2)]
+    certified = 0
+    for trial in range(35):
         unit = units[trial % len(units)]
         build = _random_grid if trial % 2 == 0 else _random_fan
         parts, whole = build(rng, unit)
         assert partition_failure(parts, whole) is None
-        kind, tampered = _tamper(rng, parts, unit)
-        kinds.add(kind)
-        got = partition_failure(tampered, whole)
-        want = _reference_partition_failure(tampered, whole)
-        assert (got is None) == (want is None), (trial, kind, got, want)
-        assert (got is None) == (kind in ("none", "boundary", "merge")), (trial, kind, got)
-        if got is not None:
-            assert got[0] == want[0], (trial, kind)
-            assert got[1] == want[1], (trial, kind)
-    assert kinds == {"none", "shift", "duplicate", "drop", "boundary", "merge"}
+        cells = [RefinedPolytope(2, [c]) for c in whole.cells]
+        apart = all(disjoint(a, b) for i, a in enumerate(cells) for b in cells[i + 1 :])
+        assert partition_certified(parts, whole) == apart, trial
+        certified += apart
+        kind = _KINDS[trial % len(_KINDS)]
+        tampered = _tamper(rng, parts, unit, kind)
+        for case, trial_parts in ((kind, tampered), ("whole cells", cells)):
+            got = partition_failure(trial_parts, whole)
+            want = _reference_partition_failure(trial_parts, whole)
+            assert got == want, (trial, case, got, want)
+        assert (got is None) == apart, trial
+        assert (partition_failure(tampered, whole) is None) == (kind in _HOLDS), (trial, kind)
+    assert 10 <= certified < 35
 
 
 def test_rotated_square_in_nested_tower_finishes():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from refinedgeo import equidecomp
 from refinedgeo.algebra import RefinedPolytope, equals, partition_check
 from refinedgeo.cells import Cell
 from refinedgeo.cli import write_decomposition
@@ -56,6 +57,8 @@ def test_motion_rejects_non_rotations():
     with pytest.raises(GeometryError):
         Motion(((1, 0), (0, -1)), Vec(0, 0))  # reflection, det -1
     with pytest.raises(GeometryError):
+        Motion(((1, 1), (0, 1)), Vec(0, 0))  # shear, det 1
+    with pytest.raises(GeometryError):
         Motion(((1, 0, 0), (0, 1, 0)), Vec(0, 0))
 
 
@@ -73,6 +76,42 @@ def test_rotation_about_fixes_center():
     m = Motion.rotation_about(center, F(3, 5), F(4, 5))
     assert m.apply_vec(center) == center
     assert not m.is_identity()
+
+
+def test_composed_and_inverted_motions_stay_orthogonal():
+    """compose, inverse, translation_by and rotation_about build without
+    checking again; chains of them over rational and square-root rotations
+    still satisfy R^T R = I and det R = 1 exactly."""
+    rng = random.Random(4942)
+    sqrt2 = adjoin_sqrt(2)
+    cos8 = adjoin_sqrt(2 + sqrt2) / 2
+    turns = [
+        (F(3, 5), F(4, 5)),
+        (F(-5, 13), F(12, 13)),
+        (sqrt2 / 2, sqrt2 / 2),
+        (F(1, 2), adjoin_sqrt(3) / 2),
+        (cos8, sqrt2 / (4 * cos8)),
+    ]
+    for _ in range(6):
+        m = Motion.identity()
+        for _ in range(4):
+            center = Vec(F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3), 3))
+            step = Motion.rotation_about(center, *rng.choice(turns))
+            how = rng.randrange(4)
+            if how == 0:
+                m = m.compose(step)
+            elif how == 1:
+                m = step.compose(m.inverse())
+            elif how == 2:
+                m = m.inverse().compose(step.inverse())
+            else:
+                m = Motion.translation_by(center).compose(m)
+            (a, b), (c, d) = m.rotation
+            for identity in (a * a + c * c - 1, b * b + d * d - 1, a * b + c * d, a * d - b * c - 1):
+                assert sign(identity) == 0
+        x = Vec(rng.randint(-5, 5), F(1, 7))
+        assert m.inverse().apply_vec(m.apply_vec(x)) == x
+        assert m.compose(m.inverse()).is_identity()
 
 
 SQRT2 = adjoin_sqrt(2)
@@ -421,6 +460,51 @@ def test_verify_flags_tampered_decomposition():
     assert any("partition the target" in label for label, _, _ in failed)
     # The partition failure names a witness refined point.
     assert any("RefinedPoint" in detail for _, ok, detail in report.entries if not ok)
+
+
+def test_motion_check_matches_equals(monkeypatch):
+    """The boundary-chain motion check against moving the piece and calling
+    equals, on true motions, motions off by a 1/1000 shift and wrong
+    rotations.  equals runs only for pairs whose chains differ, and for
+    every pair once a side's partition is not certified."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return equals(a, b)
+
+    monkeypatch.setattr(equidecomp, "equals", counted)
+    rng = random.Random(1000)
+    off = Motion.translation_by(Vec(F(1, 1000), 0))
+    for trial in range(3):
+        p = random_convex_polygon(rng)
+        q = [(2 * x, y / 2) for x, y in random_convex_polygon(rng)]
+        ratio = abs(shoelace_area([Vec(*v) for v in p]) / shoelace_area([Vec(*v) for v in q]))
+        q = [(x * ratio, y) for x, y in q]
+        d = equidecompose(p, q)
+        lift_p, lift_q = polygon_lift(p), polygon_lift(q)
+        kinds = [(i + trial) % 3 for i in range(len(d))]
+        turn = Motion.rotation_about(Vec(0, 0), F(3, 5), F(4, 5))
+        motions = [
+            m if k == 0 else off.compose(m) if k == 1 else turn.compose(m)
+            for m, k in zip(d.motions, kinds)
+        ]
+        for pieces_q in (d.pieces_q, [off.apply_polytope(d.pieces_q[0])] + d.pieces_q[1:]):
+            calls.clear()
+            report = verify_decomposition(
+                Decomposition(d.pieces_p, pieces_q, motions), lift_p, lift_q
+            )
+            got = [ok for label, ok, _ in report.entries if label.startswith("motion")]
+            want = [
+                equals(m.apply_polytope(pp), qq)
+                for pp, qq, m in zip(d.pieces_p, pieces_q, motions)
+            ]
+            assert got == want, trial
+            if pieces_q is d.pieces_q:
+                assert got == [k == 0 for k in kinds], trial
+                assert len(calls) == got.count(False), trial
+            else:
+                assert len(calls) == len(d), trial
 
 
 def test_verify_empty_decomposition_passes():
