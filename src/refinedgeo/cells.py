@@ -9,24 +9,25 @@ cell is the conventional weak polytope with the same constraints.
 
 Cells on carriers of any dimension but 2 ask ``fm`` about that system.  A
 cell on a 2-dimensional carrier instead keeps its closure as an exact edge
-cycle (see the plane kernel below), from which it reads the constraints
-that carry an edge, boundedness and vertices.  A cell built by
-``with_extra`` clips its parent's cycle, which also decides its emptiness;
-only a plane cell with neither parent nor cycle asks ``fm`` whether it is
-empty, since one solve is cheaper than a cycle built from nothing.
+cycle (see the plane kernel below), from which it reads its emptiness, the
+constraints that carry an edge, boundedness and vertices.  A cell built by
+``with_extra`` clips its parent's cycle, one with no parent clips the whole
+plane's, and a convex polygon's cell is given its cycle by its vertices.
+Plane cells ask ``fm`` only for witnesses.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GeometryError
 from .fm import LinIneq, _row, feasible, is_bounded, sample_point, vertices
 from .linalg import AffineFunctional, Carrier, Vec, cross2, rank, restrict_functional
 from .resolution import Flag, RefinedPoint, eval_refinement, lex_positive
-from .scalars import Scalar, _add, _inverse, _mul, _scalar, _scale, _sign, _sub, sign
+from .scalars import Scalar, _add, _inverse, _mul, _pair, _scalar, _scale, _sign, _sub, sign
 
 __all__ = [
     "Cell",
@@ -278,7 +279,8 @@ class ClosedPiece:
                         points.append((_scalar(_mul(x, inum), iden), _scalar(_mul(y, inum), iden)))
             else:
                 points = vertices(self._system(), self.carrier.dim)
-            self._vertices = [self.carrier.embed_point(Vec(*p)) for p in points]
+            embed = self.carrier.dim < self.carrier.ambient_dim  # else the identity
+            self._vertices = [self.carrier.embed_point(Vec(*p)) if embed else Vec(*p) for p in points]
         return list(self._vertices)
 
     def ambient_constraints(self) -> list[AffineFunctional]:
@@ -327,6 +329,27 @@ class Cell:
                 return None
         return cls(carrier, kept)
 
+    @classmethod
+    def convex_polygon(cls, plane: Carrier, pts: Sequence[Vec]) -> "Cell":
+        """The cell of a counterclockwise, strictly convex vertex cycle on the
+        full plane carrier, which the caller checks.  Its edge cycle is given:
+        edge i runs from pts[i] to pts[i + 1], and vertex i is pts[i] over the
+        lcm of its denominators, a positive multiple of the cross product of
+        the rows of edges i - 1 and i."""
+        n = len(pts)
+        cons, verts = [], []
+        for i, p in enumerate(pts):
+            d = pts[(i + 1) % n] - p
+            normal = Vec(-d[1], d[0])
+            cons.append(AffineFunctional(normal, -normal.dot(p)))
+            (x, dx), (y, dy) = _pair(p[0]), _pair(p[1])
+            w = lcm(dx, dy)
+            verts.append((_scale(x, w // dx), _scale(y, w // dy), {0: w}))
+        cell = cls(plane, cons)
+        cell._empty = False
+        cell._cycle = (tuple(range(n)), tuple(verts))
+        return cell
+
     # -- semantics ----------------------------------------------------------
 
     def contains(self, p: RefinedPoint) -> bool:
@@ -349,7 +372,7 @@ class Cell:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            if self._parent is not None:
+            if self.carrier.dim == 2:
                 self._edges()
             else:
                 self._empty = not feasible(self._strict_system(), self.carrier.dim)

@@ -210,26 +210,34 @@ def shoelace_area(vertices: Sequence[Vec]) -> Scalar:
     return total * _HALF
 
 
+def _strictly_convex(pts: Sequence[Vec]) -> bool:
+    """Is a counterclockwise cycle strictly convex, hence simple?  Every
+    turn must be strictly left, and the edge directions must wind exactly
+    once: one step passes from the lower half-plane of directions
+    [pi, 2pi) into the upper one [0, pi).  A star's left turns wind more."""
+    n = len(pts)
+    edges = [pts[(i + 1) % n] - pts[i] for i in range(n)]
+    for i in range(n):
+        if sign(cross2(edges[i - 1], edges[i])) <= 0:
+            return False
+    upper = [sign(e[1]) > 0 or (sign(e[1]) == 0 and sign(e[0]) > 0) for e in edges]
+    return sum(upper[i] and not upper[i - 1] for i in range(n)) == 1
+
+
 def convex_polygon_cell(vertices: Sequence[Vec]) -> Cell:
     """Refined cell of a convex polygon given by its vertex cycle.
 
-    The cycle is normalized to counterclockwise; strictly convex turns are
-    required (no repeated or collinear vertices)."""
+    The cycle is normalized to counterclockwise; strictly convex turns that
+    go around once are required (no repeated or collinear vertices, no
+    star).  The cell's edge cycle is read from the vertices, with no solve."""
     pts = _as_vecs(vertices)
     if len(pts) < 3:
         raise GeometryError("a polygon needs at least 3 vertices")
     if sign(shoelace_area(pts)) < 0:
         pts = list(reversed(pts))
-    cons = []
-    n = len(pts)
-    for i in range(n):
-        p, q, r = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        if sign(cross2(q - p, r - q)) <= 0:
-            raise GeometryError("vertices must make strictly convex turns")
-        d = q - p
-        normal = Vec(-d[1], d[0])
-        cons.append(AffineFunctional(normal, -normal.dot(p)))
-    return Cell(PLANE, cons)
+    if not _strictly_convex(pts):
+        raise GeometryError("vertices must make strictly convex turns around once")
+    return Cell.convex_polygon(PLANE, pts)
 
 
 def convex_polygon_lift(vertices: Sequence[Vec]) -> RefinedPolytope:
@@ -261,7 +269,8 @@ def _segments_conflict(a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
 
 def _clean_cycle(vertices: Sequence[Vec]) -> list[Vec]:
     """Normalize a simple-polygon cycle: drop exactly-straight vertices,
-    reject repeats and spikes, orient counterclockwise, check simplicity."""
+    reject repeats and spikes, orient counterclockwise, check simplicity
+    (a strictly convex cycle is simple without the pairwise edge scan)."""
     pts = _as_vecs(vertices)
     if len(pts) < 3:
         raise GeometryError("a polygon needs at least 3 vertices")
@@ -284,6 +293,8 @@ def _clean_cycle(vertices: Sequence[Vec]) -> list[Vec]:
         raise GeometryError("degenerate polygon (zero area)")
     if sign(shoelace_area(pts)) < 0:
         pts = list(reversed(pts))
+    if _strictly_convex(pts):
+        return pts
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
@@ -296,7 +307,11 @@ def _clean_cycle(vertices: Sequence[Vec]) -> list[Vec]:
 
 def triangulate_cycle(vertices: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
     """Deterministic exact ear clipping of a simple polygon, CCW triples."""
-    poly = _clean_cycle(vertices)
+    return _ears(_clean_cycle(vertices))
+
+
+def _ears(poly: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
+    """``triangulate_cycle`` of a cycle ``_clean_cycle`` returned; consumes it."""
     tris: list[tuple[Vec, Vec, Vec]] = []
     while len(poly) > 3:
         n = len(poly)
@@ -338,9 +353,12 @@ def triangulate_cycle(vertices: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
 
 
 def polygon_lift(vertices: Sequence[Vec]) -> RefinedPolytope:
-    """Lift of a simple polygon: the seamless union of its ear triangles."""
-    tris = triangulate_cycle(vertices)
-    return RefinedPolytope(2, [convex_polygon_cell(t) for t in tris])
+    """Lift of a simple polygon: one cell when it is strictly convex, else
+    the seamless union of its ear triangles."""
+    poly = _clean_cycle(vertices)
+    if _strictly_convex(poly):
+        return RefinedPolytope(2, [Cell.convex_polygon(PLANE, poly)])
+    return RefinedPolytope(2, [convex_polygon_cell(t) for t in _ears(poly)])
 
 
 def triangulate(vertices: Sequence[Vec]) -> list[RefinedPolytope]:
@@ -663,9 +681,13 @@ def _chain_q_onto_rect_p(
 
 
 class Decomposition:
-    """Matched piece lists with motions carrying each P-piece to its Q-piece."""
+    """Matched piece lists with motions carrying each P-piece to its Q-piece.
 
-    __slots__ = ("pieces_p", "pieces_q", "motions", "provenance", "report")
+    ``report`` is None until assigned, unless the decomposition keeps the
+    two lifts it was cut from (``equidecompose``'s do): then its first read
+    runs ``verify_decomposition`` against them."""
+
+    __slots__ = ("pieces_p", "pieces_q", "motions", "provenance", "_report", "_lifts")
 
     def __init__(
         self,
@@ -680,7 +702,18 @@ class Decomposition:
         self.pieces_q = list(pieces_q)
         self.motions = list(motions)
         self.provenance = list(provenance)
-        self.report: Optional[VerificationReport] = None
+        self._report: Optional[VerificationReport] = None
+        self._lifts: Optional[tuple[RefinedPolytope, RefinedPolytope]] = None
+
+    @property
+    def report(self) -> Optional[VerificationReport]:
+        if self._report is None and self._lifts is not None:
+            self._report = verify_decomposition(self, *self._lifts)
+        return self._report
+
+    @report.setter
+    def report(self, value: Optional[VerificationReport]) -> None:
+        self._report = value
 
     def __len__(self) -> int:
         return len(self.pieces_p)
@@ -785,10 +818,10 @@ def equidecompose(
     """Cut two equal-area simple polygons into pairwise-congruent refined
     pieces, verified exactly.
 
-    The verification report is always computed and stored as ``d.report``.
-    ``check=True`` raises GeometryError when the report has a failed entry;
-    ``check=False`` returns the decomposition either way, for the caller to
-    inspect the report."""
+    ``d.report`` verifies against the lifts of both triangulations when
+    first read.  ``check=True`` reads it for cut polygons and raises
+    GeometryError when an entry failed; ``check=False`` leaves it unread,
+    for the caller to read or to replace by a verification of its own."""
     p_cycle = _clean_cycle(_as_vecs(p_vertices))
     q_cycle = _clean_cycle(_as_vecs(q_vertices))
     area_p = shoelace_area(p_cycle)
@@ -798,14 +831,14 @@ def equidecompose(
             f"areas differ: {scalar_str(area_p)} vs {scalar_str(area_q)}"
         )
     log: list[str] = []
-    tris_p = triangulate_cycle(p_cycle)
-    tris_q = triangulate_cycle(q_cycle)
+    tris_p = _ears(p_cycle)
+    tris_q = _ears(q_cycle)
     lift_p = RefinedPolytope(2, [convex_polygon_cell(t) for t in tris_p])
     lift_q = RefinedPolytope(2, [convex_polygon_cell(t) for t in tris_q])
     if equals(lift_p, lift_q):
         log.append("identical polygons: single piece, identity motion")
         d = Decomposition([lift_p], [lift_q], [Motion.identity()], log)
-        d.report = verify_decomposition(d, lift_p, lift_q)
+        d._lifts = (lift_p, lift_q)
         return d
     log.append(f"triangulated into {len(tris_p)} and {len(tris_q)} triangles")
     matched_p, matched_q = match_triangle_areas(tris_p, tris_q)
@@ -832,7 +865,7 @@ def equidecompose(
             pieces_p.append(m.inverse().apply_polytope(image))
     log.append(f"composed chains: {len(pieces_p)} matched pieces")
     d = Decomposition(pieces_p, pieces_q, motions, log)
-    d.report = verify_decomposition(d, lift_p, lift_q)
+    d._lifts = (lift_p, lift_q)
     if check and not d.report.all_passed:
         raise GeometryError("decomposition failed verification:\n" + str(d.report))
     return d

@@ -5,8 +5,7 @@ Systems live in the intrinsic coordinates of some carrier, so the ambient
 dimension here is the carrier dimension (desk scale: <= 3 variables).
 Cells on carriers of any dimension but 2 decide emptiness, pruning and
 closures here.  Plane cells read those from their edge cycles in
-``cells``, and come here only for the emptiness of a cell with no cycle
-and no parent, for witnesses (``sample_point``) and for ranks
+``cells``, and come here only for witnesses (``sample_point``) and ranks
 (``affine_dim``).  ``vertices`` and ``is_bounded`` still answer for any
 system, such as a closed piece built directly.
 

@@ -559,3 +559,30 @@ def test_pipeline_sound_on_random_equal_area_polygons():
         q = [(x * ratio, y) for x, y in q]
         d = equidecompose(p, q)
         assert d.report is not None and d.report.all_passed
+
+
+def test_report_is_verified_once_on_first_read(monkeypatch):
+    """equidecompose keeps its lifts; the report is verified when first
+    read, once, and check=True reads it before returning."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return verify_decomposition(*args)
+
+    monkeypatch.setattr(equidecomp, "verify_decomposition", counted)
+    for p in (WIDE_RECT, UNIT_SQUARE):  # cut, and identical polygons
+        calls.clear()
+        d = equidecompose(UNIT_SQUARE, p, check=False)
+        assert not calls
+        assert d.report.all_passed and len(calls) == 1
+        assert d.report is d.report and len(calls) == 1
+    calls.clear()
+    d = equidecompose(UNIT_SQUARE, WIDE_RECT)
+    assert len(calls) == 1 and d.report.all_passed and len(calls) == 1
+    # An assigned report replaces it, as when a caller verifies against
+    # lifts of its own; a decomposition built directly has none.
+    mine = verify_decomposition(d, polygon_lift(UNIT_SQUARE), polygon_lift(WIDE_RECT))
+    d.report = mine
+    assert d.report is mine
+    assert Decomposition(d.pieces_p, d.pieces_q, d.motions).report is None

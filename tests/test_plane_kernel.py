@@ -182,3 +182,24 @@ def test_moved_cycle_matches_a_fresh_cell():
                 moved.closure().vertex_positions(),
                 [tuple(v) for v in fresh.closure().vertex_positions()],
             )
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_plane_vertices_skip_only_an_identity_embedding(kind):
+    """A plane closure builds its vertices without ``embed_point``; they must
+    be what embedding them would give, printed alike."""
+    rng = random.Random(f"plane-vertices-{kind}")
+    seen = 0
+    with deadline(60, f"plane vertex positions ({kind})"):
+        for _ in range(150):
+            fns: list = []
+            for _ in range(rng.randint(2, 6)):
+                fns.append(_row(rng, UNITS[kind], fns))
+            cell = Cell(PLANE, fns)
+            if cell.is_empty():
+                continue
+            got = cell.closure().vertex_positions()
+            want = [PLANE.embed_point(v) for v in got]
+            assert got == want and [repr(v) for v in got] == [repr(v) for v in want]
+            seen += len(got)
+    assert seen > 60
