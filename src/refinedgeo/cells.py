@@ -14,20 +14,25 @@ constraints that carry an edge, boundedness and vertices.  A cell built by
 ``with_extra`` clips its parent's cycle, one with no parent clips the whole
 plane's, and a convex polygon's cell is given its cycle by its vertices.
 Plane cells ask ``fm`` only for witnesses.
+
+Constraints are read as integer rows over one positive denominator (see
+``AffineFunctional``).  A rigid motion moves a cell on a full carrier by
+mapping those rows with the motion's integer form (``_moved_row``), and a
+moved plane cell keeps its cycle's labels.  Lower-dimensional carriers move
+through the scalar reference path, ``Cell._moved_via_carrier``.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GeometryError
 from .fm import LinIneq, _row, feasible, is_bounded, sample_point, vertices
 from .linalg import AffineFunctional, Carrier, Vec, cross2, rank, restrict_functional
 from .resolution import Flag, RefinedPoint, eval_refinement, lex_positive
-from .scalars import Scalar, _add, _inverse, _mul, _pair, _scalar, _scale, _sign, _sub, sign
+from .scalars import Scalar, _add, _encode, _inverse, _mul, _scalar, _scale, _sign, _sub, sign
 
 __all__ = [
     "Cell",
@@ -67,10 +72,48 @@ def _ambient_form(carrier: Carrier, intrinsic: Sequence[AffineFunctional]) -> li
     return out
 
 
-def _moved_functional(xi: AffineFunctional, rotate: Callable[[Vec], Vec], shift: Vec):
-    """The functional whose value at R x + shift is xi's value at x."""
-    linear = rotate(xi.linear)
-    return AffineFunctional(linear, xi.constant - linear.dot(shift))
+def _rigid_form(rotation, shift: Vec) -> tuple:
+    """The integer form of x -> R x + shift that ``Cell.moved`` takes, for
+    R given by two rows of scalars, orthogonal with determinant 1, or None
+    for R = I.  The form is (r, DR, t, DT) with R = r / DR and shift =
+    t / DT: r is two rows of integer tower dicts, or None when R = I (then
+    DR = 1), t is integer tower dicts, and DR and DT are positive ints."""
+    rot, dr = None, 1
+    if rotation is not None:
+        (a, b), (c, d) = rotation
+        if sign(b) or sign(c) or sign(a - 1) or sign(d - 1):
+            (a, b, c, d), dr = _encode((a, b, c, d))
+            rot = ((a, b), (c, d))
+    return (rot, dr, *_encode(shift))
+
+
+def _moved_row(xi: AffineFunctional, form: tuple) -> AffineFunctional:
+    """The functional whose value at R x + t is xi's value at x, for a
+    rigid motion's integer form (r, DR, t, DT).  Since R is orthogonal, the
+    row (a, c) / den, a the linear part, moves to
+    (DT P, DR DT c - P . t) / (DR DT den) with P = r a."""
+    rot, dr, shift, dt = form
+    ints, den = xi.row()
+    lin, c = ints[:-1], ints[-1]
+    if rot is not None:
+        lin = [functools.reduce(_add, map(_mul, r, lin)) for r in rot]
+    const = _scale(c, dr * dt)
+    for p, t in zip(lin, shift):
+        if t:
+            const = _sub(const, _mul(p, t))
+    ints = [_scale(p, dt) for p in lin] if dt != 1 else lin
+    ints.append(const)
+    return AffineFunctional.from_row(ints, den * dr * dt)
+
+
+def _decoded(form: tuple) -> tuple[Callable[[Vec], Vec], Vec]:
+    """A rigid motion's integer form as (R applied to a direction, t)."""
+    rot, dr, shift, dt = form
+    t = Vec(*(_scalar(e, dt) for e in shift))
+    if rot is None:
+        return (lambda v: v), t
+    (a, b), (c, d) = ([_scalar(e, dr) for e in row] for row in rot)
+    return (lambda v: Vec(a * v[0] + b * v[1], c * v[0] + d * v[1])), t
 
 
 # -- the plane kernel -------------------------------------------------------------
@@ -333,18 +376,19 @@ class Cell:
     def convex_polygon(cls, plane: Carrier, pts: Sequence[Vec]) -> "Cell":
         """The cell of a counterclockwise, strictly convex vertex cycle on the
         full plane carrier, which the caller checks.  Its edge cycle is given:
-        edge i runs from pts[i] to pts[i + 1], and vertex i is pts[i] over the
-        lcm of its denominators, a positive multiple of the cross product of
-        the rows of edges i - 1 and i."""
+        edge i runs from pts[i] to pts[i + 1], vertex i is pts[i] over the
+        lcm of its denominators, and the row of edge i is the cross product
+        of vertices i and i + 1, a positive multiple of the line through
+        them with the inside positive."""
         n = len(pts)
-        cons, verts = [], []
-        for i, p in enumerate(pts):
-            d = pts[(i + 1) % n] - p
-            normal = Vec(-d[1], d[0])
-            cons.append(AffineFunctional(normal, -normal.dot(p)))
-            (x, dx), (y, dy) = _pair(p[0]), _pair(p[1])
-            w = lcm(dx, dy)
-            verts.append((_scale(x, w // dx), _scale(y, w // dy), {0: w}))
+        verts = []
+        for p in pts:
+            (x, y), w = _encode(p)
+            verts.append((x, y, {0: w}))
+        cons = [
+            AffineFunctional.from_row(list(_cross(v, u)), v[2][0] * u[2][0])
+            for v, u in zip(verts, verts[1:] + verts[:1])
+        ]
         cell = cls(plane, cons)
         cell._empty = False
         cell._cycle = (tuple(range(n)), tuple(verts))
@@ -470,39 +514,47 @@ class Cell:
         (One canonical preimage; enough to rebuild the cell on its carrier.)"""
         return _ambient_form(self.carrier, self.constraints)
 
-    def moved(self, rotate: Callable[[Vec], Vec], shift: Vec) -> "Cell":
-        """The image under x -> R x + shift, where ``rotate`` applies an
-        orthogonal R to a direction.  Orthogonality is what lets a
-        functional's linear part map like a direction: l.x + c at x is
-        (R l).y + c - (R l).shift at y = R x + shift.  A full carrier maps
-        onto itself, so its constraints map directly.  R must keep
-        orientation as well, for a plane cell's edge cycle keeps its labels
-        and is only re-derived from the moved rows."""
+    def moved(self, form: tuple) -> "Cell":
+        """The image under the rigid motion x -> R x + t with the integer
+        form ``form`` (``_rigid_form``).  A full carrier maps onto itself,
+        so its constraints' rows map directly.  R is a rotation, so a plane
+        cell's edge cycle keeps its labels, and its vertices are re-derived
+        from the moved rows."""
+        rot, _, shift, _ = form
+        if len(shift) != self.carrier.ambient_dim:
+            raise GeometryError("motion and cell dimension mismatch")
+        if rot is None and not any(shift):
+            return self  # the identity
         if self.carrier.dim == self.carrier.ambient_dim:
-            moved = [_moved_functional(xi, rotate, shift) for xi in self.constraints]
-            out = Cell(self.carrier, moved)
+            out = Cell(self.carrier)  # motions keep constraints regular
+            out.constraints = tuple(_moved_row(xi, form) for xi in self.constraints)
             if self._cycle is not None and self.constraints:  # the whole plane has no labels
                 out._cycle = (self._cycle[0], None)
         else:
-            out = self._moved_via_carrier(rotate, shift)
+            out = self._moved_via_carrier(*_decoded(form))
         # A rigid motion is a bijection, so the image is empty iff the cell is.
         out._empty = self._empty
         return out
 
     def _moved_via_carrier(self, rotate: Callable[[Vec], Vec], shift: Vec) -> "Cell":
-        """The reference map: move the carrier, then restrict the moved
-        ambient constraints to it."""
+        """The reference map, in scalars: move the carrier, then restrict the
+        moved ambient constraints to it.  With R orthogonal, a functional's
+        linear part l maps like a direction: l.x + c at x is (R l).y + c -
+        (R l).shift at y = R x + shift."""
         carrier = Carrier(
             rotate(self.carrier.base) + shift, [rotate(b) for b in self.carrier.basis]
         )
-        moved = [_moved_functional(xi, rotate, shift) for xi in self.ambient_constraints()]
+        moved = []
+        for xi in self.ambient_constraints():
+            linear = rotate(xi.linear)
+            moved.append(AffineFunctional(linear, xi.constant - linear.dot(shift)))
         out = Cell.from_ambient(carrier, moved)
         if out is None:  # rigid motions cannot introduce emptiness
             raise GeometryError("rigid motion produced an inconsistent cell")
         return out
 
     def translated(self, v: Vec) -> "Cell":
-        return self.moved(lambda u: u, v)
+        return self.moved(_rigid_form(None, v))
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":
         out = Cell(self.carrier, constraints)  # checks the added ones only

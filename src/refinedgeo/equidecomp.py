@@ -33,7 +33,7 @@ from .algebra import (
     partition_failure,
     plane_cycles,
 )
-from .cells import Cell, ccw_order
+from .cells import Cell, _rigid_form, ccw_order
 from .errors import GeometryError
 from .linalg import AffineFunctional, Carrier, Vec, cross2
 from .resolution import Flag, RefinedPoint
@@ -79,7 +79,7 @@ PLANE = Carrier.full(2)
 class Motion:
     """Orientation-preserving rigid motion x -> R x + t with R exact."""
 
-    __slots__ = ("rotation", "translation")
+    __slots__ = ("rotation", "translation", "_form")
 
     def __init__(self, rotation, translation):
         rows = tuple(tuple(to_scalar(e) for e in row) for row in rotation)
@@ -97,6 +97,7 @@ class Motion:
         self.translation = translation if isinstance(translation, Vec) else Vec(translation)
         if self.translation.dim != 2:
             raise GeometryError("translation must be a plane vector")
+        self._form: Optional[tuple] = None
 
     @classmethod
     def _exact(cls, rows, translation: Vec) -> "Motion":
@@ -106,6 +107,7 @@ class Motion:
         m = object.__new__(cls)
         m.rotation = rows
         m.translation = translation
+        m._form = None
         return m
 
     @classmethod
@@ -137,8 +139,15 @@ class Motion:
     def apply_refined_point(self, rp: RefinedPoint) -> RefinedPoint:
         return RefinedPoint(self.apply_vec(rp.position), self.apply_flag(rp.flag))
 
+    @property
+    def form(self) -> tuple:
+        """The integer form ``Cell.moved`` takes, encoded once."""
+        if self._form is None:
+            self._form = _rigid_form(self.rotation, self.translation)
+        return self._form
+
     def apply_cell(self, cell: Cell) -> Cell:
-        return cell.moved(self.apply_direction, self.translation)
+        return cell.moved(self.form)
 
     def apply_polytope(self, p: RefinedPolytope) -> RefinedPolytope:
         return RefinedPolytope(p.rank, [self.apply_cell(c) for c in p.cells])

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .linalg import AffineFunctional, Vec, rank
 from .scalars import (
     Scalar,
     _add,
+    _encode,
     _inverse,
     _mul,
-    _pair,
     _scalar,
     _scale,
     _sign,
@@ -87,28 +87,19 @@ class LinIneq:
         return f"LinIneq({list(self.coeffs)!r} . x + {self.const!r} {op} 0)"
 
 
-def _encode_row(coeffs: Sequence[Scalar], const: Scalar) -> list:
-    """Integer sparse encoding of one row: coefficients, then the constant,
-    their numerators brought over one denominator."""
-    encoded = [_pair(s) for s in coeffs]
-    encoded.append(_pair(const))
-    d = lcm(*(den for _, den in encoded))
-    return [num if den == d else _scale(num, d // den) for num, den in encoded]
-
-
 def _row(xi: AffineFunctional) -> list:
-    """xi's integer row, kept on the functional so that every question
-    asked about the same geometry encodes it once."""
-    ints = xi._fenc
-    if ints is None:
-        ints = xi._fenc = _encode_row(xi.linear.coords, xi.constant)
-    return ints
+    """xi's integer row without its positive denominator: a positive
+    multiple of xi, which is all a sign or an elimination needs.  The
+    functional keeps its row, so every question asked about the same
+    geometry encodes it once, and a moved functional is born with one."""
+    ints = xi._ints
+    return xi.row()[0] if ints is None else ints
 
 
 def _rows(cons: Sequence[LinIneq]) -> list:
     """(strict, integer row) pairs."""
     return [
-        (c.strict, _encode_row(c.coeffs, c.const) if c.source is None else _row(c.source))
+        (c.strict, _encode([*c.coeffs, c.const])[0] if c.source is None else _row(c.source))
         for c in cons
     ]
 

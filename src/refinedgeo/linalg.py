@@ -10,10 +10,11 @@ what lets higher layers group cells by carrier with plain list scans.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import GeometryError
-from .scalars import Scalar, scalar_str, sign, to_scalar
+from .scalars import Scalar, _encode, _scalar, _scale, _sign, scalar_str, sign, to_scalar
 
 __all__ = [
     "AffineFunctional",
@@ -116,27 +117,64 @@ def cross2(u: Vec, v: Vec) -> Scalar:
 
 
 class AffineFunctional:
-    """xi(x) = linear . x + constant.  Regular means the linear part is nonzero."""
+    """xi(x) = linear . x + constant.  Regular means the linear part is nonzero.
 
-    __slots__ = ("linear", "constant", "_fenc")
+    Two exact forms, each derived from the other on first need: the scalars
+    ``linear`` and ``constant``, and the integer row that ``fm``, the plane
+    kernel and motions read, one integer tower dict per coefficient and the
+    constant last, over one positive denominator (value = row / den).  A
+    functional built by ``from_row`` sets its scalar slots on their first
+    read, and later reads are plain slot reads."""
+
+    __slots__ = ("linear", "constant", "_ints", "_den")
 
     def __init__(self, linear, constant=0):
         self.linear = linear if isinstance(linear, Vec) else Vec(linear)
         self.constant = to_scalar(constant)
-        self._fenc = None  # fm._row caches the integer row over one denominator here
+        self._ints: Optional[list] = None
+
+    @classmethod
+    def from_row(cls, ints: list, den: int) -> "AffineFunctional":
+        """The functional ints / den, for integer tower dicts and den > 0,
+        reduced by the gcd of den and every numerator."""
+        g = gcd(den, *(v for e in ints for v in e.values()))
+        if g > 1:
+            ints = [{m: v // g for m, v in e.items()} for e in ints]
+            den //= g
+        xi = object.__new__(cls)
+        xi._ints = ints
+        xi._den = den
+        return xi
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: the scalars of a row-built functional.
+        if name != "linear" and name != "constant":
+            raise AttributeError(name)
+        den = self._den
+        self.linear = Vec(*[_scalar(e, den) for e in self._ints[:-1]])
+        self.constant = _scalar(self._ints[-1], den)
+        return self.linear if name == "linear" else self.constant
+
+    def row(self) -> tuple[list, int]:
+        """(integer row, positive denominator), the constant last."""
+        if self._ints is None:
+            self._ints, self._den = _encode([*self.linear.coords, self.constant])
+        return self._ints, self._den
 
     @property
     def dim(self) -> int:
-        return self.linear.dim
+        return len(self.row()[0]) - 1
 
     @property
     def is_regular(self) -> bool:
-        return not self.linear.is_zero()
+        return any(_sign(e) for e in self.row()[0][:-1])
 
     def value(self, point: Vec) -> Scalar:
         return self.linear.dot(point) + self.constant
 
     def __neg__(self) -> "AffineFunctional":
+        if self._ints is not None:
+            return AffineFunctional.from_row([_scale(e, -1) for e in self._ints], self._den)
         return AffineFunctional(-self.linear, -self.constant)
 
     def scale(self, factor) -> "AffineFunctional":

@@ -251,6 +251,14 @@ def _pair(x) -> Optional[tuple[dict, int]]:
     return None
 
 
+def _encode(values) -> tuple[list, int]:
+    """Exact scalars as integer dicts over one positive denominator, the
+    lcm of theirs: (numerators, den)."""
+    pairs = [_pair(v) for v in values]
+    d = math.lcm(*(den for _, den in pairs))
+    return [num if den == d else _scale(num, d // den) for num, den in pairs], d
+
+
 def _scalar(num: dict, den: int = 1) -> Scalar:
     """The scalar num/den (den > 0) in lowest terms: a Fraction once no
     generator is left."""

@@ -13,6 +13,10 @@ what gets compared.  In a scratch copy it fails when an edge whose ends lie
 at infinity gets no interior vertex, when a constraint on an existing edge
 does not take over its label (so the first duplicate is kept), and when a
 vertex on the clipping line is treated as outside.
+
+Moved plane cells map their constraints' integer rows with a motion's
+integer form; the reference there is the scalar path
+``Cell._moved_via_carrier`` of the same motion.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from fractions import Fraction
 import pytest
 from conftest import deadline
 
+from refinedgeo.algebra import RefinedPolytope, area, equals
 from refinedgeo.cells import Cell
-from refinedgeo.equidecomp import Motion
+from refinedgeo.equidecomp import Motion, convex_polygon_cell
+from refinedgeo.errors import GeometryError
 from refinedgeo.fm import LinIneq, feasible, is_bounded, vertices
 from refinedgeo.linalg import AffineFunctional, Carrier, Vec
-from refinedgeo.scalars import adjoin_sqrt
+from refinedgeo.scalars import _encode, _sign, adjoin_sqrt, sign
 
 PLANE = Carrier.full(2)
 SQRT2 = adjoin_sqrt(2)
@@ -203,3 +209,110 @@ def test_plane_vertices_skip_only_an_identity_embedding(kind):
             assert got == want and [repr(v) for v in got] == [repr(v) for v in want]
             seen += len(got)
     assert seen > 60
+
+
+# Rotations (cos, sin) in each tower of UNITS.
+ROTATIONS = {
+    "rational": [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(-12, 13))],
+    "sqrt2-sqrt3": [(SQRT2 / 2, SQRT2 / 2), (Fraction(1, 2), adjoin_sqrt(3) / 2)],
+    "sqrt2-nested": [
+        (adjoin_sqrt(2 + SQRT2) / 2, adjoin_sqrt(2 - SQRT2) / 2),
+        (SQRT2 / 2, -SQRT2 / 2),
+    ],
+}
+
+
+def _stage_motion(rng: random.Random, kind: str) -> Motion:
+    """A rotation about a tower point, a tower translation or the identity."""
+    units = UNITS[kind]
+    roll = rng.random()
+    if roll < 0.5:
+        c, s = rng.choice(ROTATIONS[kind])
+        return Motion.rotation_about(Vec(_scalar(rng, units), _scalar(rng, units)), c, s)
+    if roll < 0.9:
+        return Motion.translation_by(Vec(_scalar(rng, units), _scalar(rng, units)))
+    return Motion.identity()
+
+
+def _form_is_the_encoding(m: Motion) -> bool:
+    """The integer form of a motion equals the encoding of its scalars."""
+    rot, dr, t, dt = m.form
+    (a, b), (c, d) = m.rotation
+    if (list(t), dt) != _encode(m.translation):
+        return False
+    if rot is None:
+        return dr == 1 and sign(a - 1) == sign(b) == sign(c) == sign(d - 1) == 0
+    return ([*rot[0], *rot[1]], dr) == _encode((a, b, c, d))
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_row_map_matches_carrier_path(kind):
+    """Cells moved stage by stage, as a dissection chain moves its images,
+    against the scalar reference path of the composed motion: equal
+    constraint values, the same emptiness, the vertices of a fresh cell on
+    the moved rows and equal lifts; the composed motion's inverse brings the
+    image back to the start cell's constraints.  In a scratch copy this
+    fails when the row map drops the first translation term, transposes R,
+    or leaves the denominator unscaled."""
+    rng = random.Random(f"row-map-{kind}")
+    units = UNITS[kind]
+    moved = nonempty = 0
+    with deadline(120, f"row map differential ({kind})"):
+        for _ in range(80):
+            fns: list = []
+            for _ in range(rng.randint(1, 5)):
+                fns.append(_row(rng, units, fns))
+            cell = Cell(PLANE, fns)
+            empty = cell.is_empty()
+            if not empty:
+                cell.closure()  # the cycle whose labels the motions carry
+            image, m = cell, Motion.identity()
+            for _ in range(rng.randint(1, 5)):
+                step = _stage_motion(rng, kind)
+                image = step.apply_cell(image)
+                m = step.compose(m)
+                if rng.random() < 0.4:  # the same motion, rebuilt through inverses
+                    m = m.inverse().compose(m).compose(m.inverse().inverse())
+                assert _form_is_the_encoding(step) and _form_is_the_encoding(m)
+                ref = cell._moved_via_carrier(m.apply_direction, m.translation)
+                assert len(image.constraints) == len(ref.constraints)
+                assert all(a == b for a, b in zip(image.constraints, ref.constraints))
+                assert image._empty is empty and ref.is_empty() is empty
+                moved += 1
+                if empty:
+                    continue
+                nonempty += 1
+                fresh = Cell(PLANE, image.constraints)
+                assert _same_points(
+                    image.closure().vertex_positions(),
+                    [tuple(v) for v in fresh.closure().vertex_positions()],
+                )
+                assert equals(RefinedPolytope(2, [image]), RefinedPolytope(2, [ref]))
+            back = m.inverse().apply_cell(image)
+            assert all(a == b for a, b in zip(back.constraints, cell.constraints))
+    assert moved > 150 and 100 < nonempty < moved - 30
+
+
+def test_reflection_cannot_move_a_plane_cell():
+    """A reflection reverses a plane cell's edge cycle.  ``moved`` used to
+    take any map and keep the source's labels, so the image's vertices got
+    W < 0 and a later clip kept the wrong part: area 5/3 where the true
+    image has 4/3.  Moves now take a motion's integer form, and a Motion has
+    determinant 1."""
+    tri = convex_polygon_cell([(0, 0), (2, 0), (1, 3)])
+    cut = AffineFunctional(Vec(0, -1), -1)  # y <= -1
+    mirror = (lambda u: Vec(u[0], -u[1])), Vec(0, 0)
+    with pytest.raises(TypeError):
+        tri.moved(*mirror)
+    with pytest.raises(GeometryError):
+        Motion(((1, 0), (0, -1)), Vec(0, 0))
+    # The scalar reference path re-derives everything, so it moves a mirror image right.
+    ref = tri._moved_via_carrier(*mirror).with_extra([cut])
+    assert area(RefinedPolytope(2, [ref])) == Fraction(4, 3)
+    # The half turn maps this triangle to one with the same cut area.
+    m = Motion.rotation_about(Vec(0, 0), -1, 0)
+    image = m.apply_cell(tri).with_extra([cut])
+    assert all(_sign(v[2]) >= 0 for v in image._edges()[1])
+    ref = tri._moved_via_carrier(m.apply_direction, m.translation).with_extra([cut])
+    assert area(RefinedPolytope(2, [image])) == area(RefinedPolytope(2, [ref])) == Fraction(4, 3)
+    assert equals(RefinedPolytope(2, [image]), RefinedPolytope(2, [ref]))
