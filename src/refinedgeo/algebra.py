@@ -22,10 +22,11 @@ edges minus the whole's cancel, the parts cover the whole once almost
 everywhere, and a defect would be a refined cell of positive area
 (``partition_failure`` gives the argument, after Guibas and Stolfi's
 planar subdivisions and the paper's equivalence of the refined and the
-conventional plane "in a sense").  Edge ends are keyed by exact encodings;
-a value with two encodings only splits a group that must then cancel part
-by part, so a missed match falls back to the clipping checks, never to a
-wrong "holds".
+conventional plane "in a sense").  Cycles with the same directed edges,
+compared by exact vertex keys, cancel whole first; the other edges' ends
+are keyed by exact encodings.  A value with two encodings only splits a
+group that must then cancel part by part, so a missed match falls back to
+the clipping checks, never to a wrong "holds".
 """
 
 from __future__ import annotations
@@ -360,6 +361,34 @@ def boundary_cancels(signed_cycles: Iterable[tuple[int, Sequence[Vec]]]) -> bool
     to the zero 1-chain; False may also mean that equal values got unequal
     keys.
 
+    Whole cycles cancel first.  A cycle is keyed by the set of its directed
+    edges, each a pair of exact vertex keys (x key, y key).  Equal keys are
+    equal values, so two cycles with equal keys are sums of the same
+    segments, have the same 1-chain, and their weights simply add; the
+    chain is linear in the weights, so the verdict is the one the edge sum
+    gives without grouping.  A set loses multiplicity, so a cycle that
+    repeats a directed edge (a triangle traversed twice) is never grouped:
+    its key would equal that of one copy.  Only such cycles and groups of
+    nonzero total weight reach the edge sum (``_edges_cancel``)."""
+    groups: dict = {}
+    rest = []
+    for weight, cycle in signed_cycles:
+        keys = [(_exact_key(x), _exact_key(y)) for x, y in cycle]
+        edges = frozenset(zip(keys, keys[1:] + keys[:1]))
+        if len(edges) < len(keys):
+            rest.append((weight, cycle, keys))
+        elif edges in groups:
+            groups[edges][0] += weight
+        else:
+            groups[edges] = [weight, cycle, keys]
+    rest += [group for group in groups.values() if group[0]]
+    return not rest or _edges_cancel(rest)
+
+
+def _edges_cancel(weighted: Sequence) -> bool:
+    """The edge sum of ``boundary_cancels`` over (weight, cycle, vertex
+    keys) triples.
+
     An edge adds its weight at its start and subtracts it at its end, keyed
     by (supporting line, point on the line): a line by slope and intercept,
     or by x when vertical, and a point by x, or by y when vertical.  On one
@@ -368,21 +397,26 @@ def boundary_cancels(signed_cycles: Iterable[tuple[int, Sequence[Vec]]]) -> bool
     encodings (``_exact_key``): a value with two encodings splits a group
     in two, and each part must then cancel on its own, which the true sum
     only makes harder.  So a missed match answers False, never a wrong
-    True."""
+    True.  A point key is its vertex's x or y key, computed once."""
     chain: dict = {}
-    for weight, cycle in signed_cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    for weight, cycle, keys in weighted:
+        n = len(cycle)
+        for i in range(n):
+            j = (i + 1) % n
+            a, b = cycle[i], cycle[j]
             dx = b[0] - a[0]
             if sign(dx) == 0:
-                line, s, t = (None, _exact_key(a[0])), a[1], b[1]
+                line, axis = (None, keys[i][0]), 1
             else:
                 slope = (b[1] - a[1]) / dx
-                line = (_exact_key(slope), _exact_key(a[1] - slope * a[0]))
-                s, t = a[0], b[0]
-            start, end = (line, _exact_key(s)), (line, _exact_key(t))
-            chain[start] = chain.get(start, 0) + weight
-            chain[end] = chain.get(end, 0) - weight
-    return not any(chain.values())
+                line, axis = (_exact_key(slope), _exact_key(a[1] - slope * a[0])), 0
+            sums = chain.get(line)
+            if sums is None:
+                sums = chain[line] = {}
+            s, t = keys[i][axis], keys[j][axis]
+            sums[s] = sums.get(s, 0) + weight
+            sums[t] = sums.get(t, 0) - weight
+    return not any(any(sums.values()) for sums in chain.values())
 
 
 def partition_certified(parts: Sequence[RefinedPolytope], whole: RefinedPolytope) -> bool:
@@ -427,9 +461,11 @@ def partition_failure(
       3. Lifts of interior-disjoint convex cells are refined-disjoint, and
          a nonempty rank-2 cell of an overlap, a spill or a gap would have
          positive area.  So the parts partition W in the refined sense.
-      4. The chain needs no clipping: each edge adds +1 at its start and
-         -1 at its end, keyed by exact supporting line and position
-         (``boundary_cancels``), and every sum must be 0.
+      4. The chain needs no clipping (``boundary_cancels``): cycles with
+         the same directed edges, by exact vertex keys, add their weights
+         and drop out when these sum to 0; each edge of the rest adds its
+         weight at its start and subtracts it at its end, keyed by exact
+         supporting line and position, and every sum must be 0.
       5. The same argument without step 2 shows that two unions of such
          cells with equal chains are equal (``verify_decomposition``).
     The certificate only ever answers "holds".  Otherwise the checks run

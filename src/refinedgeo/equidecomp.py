@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     RefinedPolytope,
+    _exact_key,
     area,
     boundary_cancels,
     equals,
@@ -775,6 +776,10 @@ def _signatures_match(a: list[Scalar], b: list[Scalar]) -> bool:
     return len(a) == len(b) and all(sign(x - y) == 0 for x, y in zip(a, b))
 
 
+def _vertex_keys(cycles: Sequence[Sequence[Vec]]) -> set:
+    return {(_exact_key(v[0]), _exact_key(v[1])) for c in cycles for v in c}
+
+
 def verify_decomposition(
     d: Decomposition, p: RefinedPolytope, q: RefinedPolytope
 ) -> VerificationReport:
@@ -791,7 +796,16 @@ def verify_decomposition(
     difference would have positive area.  m has determinant 1, so images
     of counterclockwise cycles stay counterclockwise.  A pair whose chains
     differ, and every pair when a side was not certified, is decided by
-    moving pp and comparing with ``equals``, as before."""
+    moving pp and comparing with ``equals``, as before.
+
+    The same images decide the signature line.  Equal exact keys are equal
+    values, so when the keys of the images' vertices are the keys of qq's
+    vertices, qq's vertex values are m's image of pp's, as sets.  m is
+    rigid, so the squared distances between distinct vertices, which the
+    reference signature lists after deduplicating vertices by value, are
+    the same multiset on both sides.  Otherwise, as when an equal set is
+    encoded differently or qq's cells are split elsewhere, both signatures
+    are computed and compared."""
     report = VerificationReport()
     certified = True
     for label, pieces, whole in (("source", d.pieces_p, p), ("target", d.pieces_q, q)):
@@ -805,16 +819,19 @@ def verify_decomposition(
             "" if failure is None else f"{failure[0]} at {failure[1]!r}",
         )
     for i, (pp, qq, m) in enumerate(zip(d.pieces_p, d.pieces_q, d.motions), start=1):
+        cycles_p, cycles_q = plane_cycles(pp), plane_cycles(qq)
+        images = None
+        if cycles_p is not None and cycles_q is not None:
+            images = [[m.apply_vec(v) for v in c] for c in cycles_p]
         ok = certified and boundary_cancels(
-            [(1, [m.apply_vec(v) for v in c]) for c in plane_cycles(pp)]
-            + [(-1, c) for c in plane_cycles(qq)]
+            [(1, c) for c in images] + [(-1, c) for c in cycles_q]
         )
         if not ok:
             ok = equals(m.apply_polytope(pp), qq)
         report.add(f"motion {i} carries piece {i} exactly", ok)
-        sig_ok = _signatures_match(
-            _congruence_signature(pp), _congruence_signature(qq)
-        )
+        sig_ok = (
+            images is not None and _vertex_keys(images) == _vertex_keys(cycles_q)
+        ) or _signatures_match(_congruence_signature(pp), _congruence_signature(qq))
         report.add(f"piece pair {i} congruence signature", sig_ok)
     return report
 

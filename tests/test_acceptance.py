@@ -9,10 +9,12 @@ file directly executes all eight and exits nonzero on the first failure.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction as F
 
+from refinedgeo import algebra, equidecomp
 from refinedgeo.algebra import (
     ConventionalPolytope,
     RefinedPolytope,
@@ -598,6 +600,18 @@ def _random_simple_polygon(rng: random.Random) -> list[Vec]:
         return cycle
 
 
+def _criterion_7_pairs(rng: random.Random):
+    """Criterion 7's randomized equal-area pairs, in order: two random
+    simple polygons, the second stretched along x to the first one's area."""
+    while True:
+        a = _random_simple_polygon(rng)
+        b = _random_simple_polygon(rng)
+        ratio = abs(shoelace_area(a)) / abs(shoelace_area(b))
+        if ratio < F(1, 2) or ratio > 2:
+            continue
+        yield a, [Vec(v[0] * ratio, v[1]) for v in b]
+
+
 def _check_decomposition(p_cycle, q_cycle):
     d = equidecompose(p_cycle, q_cycle, check=False)
     report = verify_decomposition(d, polygon_lift(p_cycle), polygon_lift(q_cycle))
@@ -624,16 +638,8 @@ def test_criterion_7_equidecomposition_end_to_end():
 
         randomized = 0
         pieces_total = 0
-        while randomized < 20:
-            a = _random_simple_polygon(rng)
-            b = _random_simple_polygon(rng)
-            area_a = abs(shoelace_area(a))
-            area_b = abs(shoelace_area(b))
-            ratio = area_a / area_b
-            if ratio < F(1, 2) or ratio > 2:
-                continue
-            b = [Vec(v[0] * ratio, v[1]) for v in b]
-            assert abs(shoelace_area(b)) == area_a
+        for a, b in itertools.islice(_criterion_7_pairs(rng), 20):
+            assert abs(shoelace_area(b)) == abs(shoelace_area(a))
             pieces_total += len(_check_decomposition(a, b))
             randomized += 1
     print(
@@ -641,6 +647,46 @@ def test_criterion_7_equidecomposition_end_to_end():
         f"({n1}+{n2} pieces) and {randomized} randomized pairs "
         f"({pieces_total} pieces, {budget.elapsed:.1f}s)"
     )
+
+
+def test_criterion_7_pairs_decided_by_vertex_keys(monkeypatch):
+    """On criterion 7's fixed pairs and its twenty randomized ones, every
+    piece pair's motion and signature lines are decided from exact vertex
+    keys: no reference congruence signature is computed, and no cycle of a
+    per-pair boundary check reaches the edge sum."""
+    signatures, pair_edge_sums = [], []
+    in_pair = []
+    reference = equidecomp._congruence_signature
+    pair_check = equidecomp.boundary_cancels
+    edge_sum = algebra._edges_cancel
+
+    def counted_signature(p):
+        signatures.append(1)
+        return reference(p)
+
+    def marked_pair_check(signed):
+        in_pair.append(1)
+        try:
+            return pair_check(signed)
+        finally:
+            in_pair.pop()
+
+    def counted_edge_sum(weighted):
+        if in_pair:
+            pair_edge_sums.append(len(weighted))
+        return edge_sum(weighted)
+
+    monkeypatch.setattr(equidecomp, "_congruence_signature", counted_signature)
+    monkeypatch.setattr(equidecomp, "boundary_cancels", marked_pair_check)
+    monkeypatch.setattr(algebra, "_edges_cancel", counted_edge_sum)
+    square = [Vec(0, 0), Vec(1, 0), Vec(1, 1), Vec(0, 1)]
+    wide = [Vec(0, 0), Vec(2, 0), Vec(2, F(1, 2)), Vec(0, F(1, 2))]
+    tri = [Vec(0, 0), Vec(2, 0), Vec(0, 1)]
+    pairs = [(square, wide), (tri, square)]
+    pairs += itertools.islice(_criterion_7_pairs(random.Random(707)), 20)
+    pieces = sum(len(_check_decomposition(a, b)) for a, b in pairs)
+    assert pieces > len(pairs)
+    assert not signatures and not pair_edge_sums
 
 
 # -- criterion 8 --------------------------------------------------------------

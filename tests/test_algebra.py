@@ -559,6 +559,81 @@ def test_boundary_certificate_matches_difference_path():
     assert 10 <= certified < 35
 
 
+def _plain_cancels(signed_cycles) -> bool:
+    """boundary_cancels without cancelling whole cycles: every edge of every
+    cycle adds its weight at its start and subtracts it at its end, keyed by
+    exact supporting line and position on it."""
+    key = algebra._exact_key
+    chain: dict = {}
+    for weight, cycle in signed_cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            dx = b[0] - a[0]
+            if algebra.sign(dx) == 0:
+                line, s, t = (None, key(a[0])), a[1], b[1]
+            else:
+                slope = (b[1] - a[1]) / dx
+                line = (key(slope), key(a[1] - slope * a[0]))
+                s, t = a[0], b[0]
+            start, end = (line, key(s)), (line, key(t))
+            chain[start] = chain.get(start, 0) + weight
+            chain[end] = chain.get(end, 0) - weight
+    return not any(chain.values())
+
+
+def _crafted_cycles(c: list, unit) -> list:
+    """Signed cycle lists around one counterclockwise cycle c, each with the
+    edge sum's verdict: c twice, a clockwise copy, a dart and another cycle
+    on the dart's vertices, a triangle traversed twice."""
+    turned = c[1:] + c[:1]
+    cw = c[::-1]
+    a, b, d, e = (c[0] + Vec(unit * x, unit * y) for x, y in ((0, 0), (2, 1), (4, 0), (2, 4)))
+    dart, reordered = [a, b, d, e], [a, d, b, e]
+    t = c[:3]
+    return [
+        ([(1, c), (1, c)], False),
+        ([(1, c), (1, turned), (-2, c)], True),
+        ([(1, c), (-1, turned)], True),
+        ([(1, c), (1, cw)], True),
+        ([(1, c), (-1, cw)], False),
+        ([(1, dart), (-1, reordered)], False),
+        ([(1, dart), (-1, dart[2:] + dart[:2])], True),
+        ([(1, t + t), (-1, t)], False),
+        ([(1, t + t), (-2, t)], True),
+        ([(1, t + t), (-1, t), (-1, t)], True),
+    ]
+
+
+def test_boundary_cancels_matches_edge_sum():
+    """boundary_cancels, which cancels whole cycles first, against the plain
+    edge sum: true and tampered partitions, the whole's own cells as parts,
+    and crafted cycle lists, over rational, sqrt2/sqrt3 and nested
+    sqrt(2+sqrt2) coordinates."""
+    rng = random.Random(5011)
+    sqrt2 = adjoin_sqrt(2)
+    units = [Fraction(1), Fraction(2, 3), sqrt2, adjoin_sqrt(3) / 2, adjoin_sqrt(2 + sqrt2)]
+    verdicts = set()
+    for trial in range(28):
+        unit = units[trial % len(units)]
+        build = _random_grid if trial % 2 == 0 else _random_fan
+        parts, whole = build(rng, unit)
+        whole_cycles = algebra.plane_cycles(whole)
+        tampered = _tamper(rng, parts, unit, _KINDS[trial % len(_KINDS)])
+        cases = [
+            ([(1, c) for part in trial_parts for c in algebra.plane_cycles(part)]
+             + [(-1, c) for c in whole_cycles], None)
+            for trial_parts in (parts, tampered)
+        ]
+        cases.append(([(1, c) for c in whole_cycles] + [(-1, c) for c in whole_cycles], True))
+        cycle = algebra.plane_cycles(parts[rng.randrange(len(parts))])[0]
+        cases += _crafted_cycles(cycle, unit)
+        for signed, want in cases:
+            plain = _plain_cancels(signed)
+            assert want is None or plain == want, (trial, signed)
+            assert algebra.boundary_cancels(signed) == plain, (trial, signed)
+            verdicts.add(plain)
+    assert verdicts == {True, False}
+
+
 def test_rotated_square_in_nested_tower_finishes():
     """The square with corners (+-1, +-1) rotated by pi/8, with cos and sin
     under different nested roots: sqrt(2+sqrt2)/2 and sqrt(2-sqrt2)/2.  A

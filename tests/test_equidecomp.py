@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from refinedgeo import equidecomp
-from refinedgeo.algebra import RefinedPolytope, equals, partition_check
+from refinedgeo.algebra import RefinedPolytope, _exact_key, equals, partition_check, plane_cycles
 from refinedgeo.cells import Cell
 from refinedgeo.cli import write_decomposition
 from refinedgeo.equidecomp import (
     Decomposition,
+    _signatures_match,
     Motion,
     area,
     convex_polygon_cell,
@@ -505,6 +506,73 @@ def test_motion_check_matches_equals(monkeypatch):
                 assert len(calls) == got.count(False), trial
             else:
                 assert len(calls) == len(d), trial
+
+
+def _resplit(piece: RefinedPolytope) -> RefinedPolytope:
+    """The same set with its first cell cut in two by a line through an
+    interior point, which adds a vertex where the line meets the boundary."""
+    cell, *rest = piece.cells
+    x = cell.witness().position
+    cut = AffineFunctional(Vec(7, 3), -(7 * x[0] + 3 * x[1]))
+    return RefinedPolytope(2, [cell.with_extra([cut]), cell.with_extra([-cut])] + rest)
+
+
+def test_signature_shortcut_matches_reference(monkeypatch):
+    """The congruence signature line against the reference signatures of
+    both pieces: on the library's own pairs, with a target piece whose cell
+    is re-split in two, with motions off by a 1/1000 shift, and with every
+    piece matched to the next target piece.  The reference runs exactly for
+    the pairs whose moved source vertices and target vertices differ as
+    sets of exact keys."""
+    calls = []
+    reference = equidecomp._congruence_signature
+
+    def counted(piece):
+        calls.append(1)
+        return reference(piece)
+
+    def keys(cycles):
+        return {(_exact_key(v[0]), _exact_key(v[1])) for c in cycles for v in c}
+
+    monkeypatch.setattr(equidecomp, "_congruence_signature", counted)
+    off = Motion.translation_by(Vec(F(1, 1000), 0))
+    for p, q in [*GOLDEN.values(), (L_HEXAGON, [(0, 0), (3, 0), (3, 1), (0, 1)])]:
+        d = equidecompose(p, q, check=False)
+        lift_p, lift_q = polygon_lift(p), polygon_lift(q)
+        split = [_resplit(d.pieces_q[0])] + d.pieces_q[1:]
+        assert len(keys(plane_cycles(split[0]))) > len(keys(plane_cycles(d.pieces_q[0])))
+        cases = {
+            "own": (d.pieces_q, d.motions),
+            "split": (split, d.motions),
+            "shifted": (d.pieces_q, [off.compose(m) for m in d.motions]),
+            "next": (d.pieces_q[1:] + d.pieces_q[:1], d.motions),
+        }
+        for case, (pieces_q, motions) in cases.items():
+            calls.clear()
+            report = verify_decomposition(
+                Decomposition(d.pieces_p, pieces_q, motions), lift_p, lift_q
+            )
+            lines = {label: ok for label, ok, _ in report.entries}
+            got = [lines[f"piece pair {i} congruence signature"] for i in range(1, len(d) + 1)]
+            want = [
+                _signatures_match(reference(pp), reference(qq))
+                for pp, qq in zip(d.pieces_p, pieces_q)
+            ]
+            assert got == want, case
+            differ = sum(
+                keys([[m.apply_vec(v) for v in c] for c in plane_cycles(pp)])
+                != keys(plane_cycles(qq))
+                for pp, qq, m in zip(d.pieces_p, pieces_q, motions)
+            )
+            assert len(calls) == 2 * differ, case
+            if case == "own":
+                assert all(got) and not calls
+            elif case == "split":
+                assert not got[0] and lines["motion 1 carries piece 1 exactly"]
+            elif case == "shifted":
+                assert all(got) and differ == len(d)
+            else:
+                assert not all(got), case
 
 
 def test_verify_empty_decomposition_passes():
