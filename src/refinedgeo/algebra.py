@@ -468,14 +468,19 @@ def partition_failure(
          supporting line and position, and every sum must be 0.
       5. The same argument without step 2 shows that two unions of such
          cells with equal chains are equal (``verify_decomposition``).
-    The certificate only ever answers "holds".  Otherwise the checks run
-    in order, each with a witness: pairwise overlap, spill outside the
-    whole, cover.
+    The certificate only ever answers "holds".  Otherwise
+    ``_partition_witness`` runs the checks.
     """
+    return None if partition_certified(parts, whole) else _partition_witness(parts, whole)
+
+
+def _partition_witness(
+    parts: Sequence[RefinedPolytope], whole: RefinedPolytope
+) -> Optional[tuple[str, Optional[RefinedPoint]]]:
+    """``partition_failure`` without the certificate: the checks in order,
+    each with a witness: pairwise overlap, spill outside the whole, cover."""
     for part in parts:
         _check_ranks(part, whole)
-    if partition_certified(parts, whole):
-        return None
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             overlap = intersect(parts[i], parts[j])

@@ -15,11 +15,12 @@ constraints that carry an edge, boundedness and vertices.  A cell built by
 plane's, and a convex polygon's cell is given its cycle by its vertices.
 Plane cells ask ``fm`` only for witnesses.
 
-Constraints are read as integer rows over one positive denominator (see
-``AffineFunctional``).  A rigid motion moves a cell on a full carrier by
-mapping those rows with the motion's integer form (``_moved_row``), and a
-moved plane cell keeps its cycle's labels.  Lower-dimensional carriers move
-through the scalar reference path, ``Cell._moved_via_carrier``.
+Constraints are read as integer rows over one positive denominator, the
+form every ``AffineFunctional`` has from birth.  A rigid motion is an
+integer form too (see ``Motion``): it moves a cell on a full carrier by
+mapping those rows (``_moved_row``), and a moved plane cell keeps its
+cycle's labels.  Lower-dimensional carriers move through the scalar
+reference path, ``Cell._moved_via_carrier``, with R and t decoded.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import GeometryError
-from .fm import LinIneq, _row, feasible, is_bounded, sample_point, vertices
+from .fm import LinIneq, feasible, is_bounded, sample_point, vertices
 from .linalg import AffineFunctional, Carrier, Vec, cross2, rank, restrict_functional
 from .resolution import Flag, RefinedPoint, eval_refinement, lex_positive
-from .scalars import Scalar, _add, _encode, _inverse, _mul, _scalar, _scale, _sign, _sub, sign
+from .scalars import Scalar, _add, _encode, _inverse, _mul, _reduced, _scalar, _scale, _sign, _sub, sign
 
 __all__ = [
     "Cell",
@@ -72,31 +73,49 @@ def _ambient_form(carrier: Carrier, intrinsic: Sequence[AffineFunctional]) -> li
     return out
 
 
-def _rigid_form(rotation, shift: Vec) -> tuple:
-    """The integer form of x -> R x + shift that ``Cell.moved`` takes, for
-    R given by two rows of scalars, orthogonal with determinant 1, or None
-    for R = I.  The form is (r, DR, t, DT) with R = r / DR and shift =
-    t / DT: r is two rows of integer tower dicts, or None when R = I (then
-    DR = 1), t is integer tower dicts, and DR and DT are positive ints."""
-    rot, dr = None, 1
-    if rotation is not None:
-        (a, b), (c, d) = rotation
-        if sign(b) or sign(c) or sign(a - 1) or sign(d - 1):
-            (a, b, c, d), dr = _encode((a, b, c, d))
-            rot = ((a, b), (c, d))
-    return (rot, dr, *_encode(shift))
+def _rotated(rot, v: list) -> list:
+    """r v for two rows r of integer tower dicts, or v itself for r = None."""
+    if rot is None:
+        return v
+    return [functools.reduce(_add, map(_mul, row, v)) for row in rot]
+
+
+def _mapped(form: tuple, v: list, dv: int, shift: bool = True) -> tuple[list, int]:
+    """R (v / dv) + t, or R (v / dv) with ``shift`` false, for a rigid
+    motion's integer form (r, DR, t, DT) and integer tower dicts v over
+    dv > 0: integer tower dicts over one positive denominator, in lowest
+    terms."""
+    rot, dr, t, dt = form
+    out, den = _rotated(rot, v), dr * dv
+    if shift:
+        out = [_add(_scale(a, dt), _scale(b, den)) for a, b in zip(out, t)]
+        den *= dt
+    return _reduced(out, den)
+
+
+def _rotation_form(entries: list, den: int) -> tuple:
+    """(r, DR) for the rotation with entries a, b, c, d / den, row by row:
+    (None, 1) when it is I, else in lowest terms."""
+    a, b, c, d = entries
+    if not (_sign(b) or _sign(c) or _sign(_sub(a, {0: den})) or _sign(_sub(d, {0: den}))):
+        return None, 1
+    (a, b, c, d), den = _reduced(entries, den)
+    return ((a, b), (c, d)), den
+
+
+def _vec(ints: list, den: int) -> Vec:
+    """The vector of scalars ints / den."""
+    return Vec(*[_scalar(e, den) for e in ints])
 
 
 def _moved_row(xi: AffineFunctional, form: tuple) -> AffineFunctional:
     """The functional whose value at R x + t is xi's value at x, for a
-    rigid motion's integer form (r, DR, t, DT).  Since R is orthogonal, the
-    row (a, c) / den, a the linear part, moves to
+    rigid motion's integer form (r, DR, t, DT) (see ``Motion``).  Since R is
+    orthogonal, the row (a, c) / den, a the linear part, moves to
     (DT P, DR DT c - P . t) / (DR DT den) with P = r a."""
     rot, dr, shift, dt = form
     ints, den = xi.row()
-    lin, c = ints[:-1], ints[-1]
-    if rot is not None:
-        lin = [functools.reduce(_add, map(_mul, r, lin)) for r in rot]
+    lin, c = _rotated(rot, ints[:-1]), ints[-1]
     const = _scale(c, dr * dt)
     for p, t in zip(lin, shift):
         if t:
@@ -104,16 +123,6 @@ def _moved_row(xi: AffineFunctional, form: tuple) -> AffineFunctional:
     ints = [_scale(p, dt) for p in lin] if dt != 1 else lin
     ints.append(const)
     return AffineFunctional.from_row(ints, den * dr * dt)
-
-
-def _decoded(form: tuple) -> tuple[Callable[[Vec], Vec], Vec]:
-    """A rigid motion's integer form as (R applied to a direction, t)."""
-    rot, dr, shift, dt = form
-    t = Vec(*(_scalar(e, dt) for e in shift))
-    if rot is None:
-        return (lambda v: v), t
-    (a, b), (c, d) = ([_scalar(e, dr) for e in row] for row in rot)
-    return (lambda v: Vec(a * v[0] + b * v[1], c * v[0] + d * v[1])), t
 
 
 # -- the plane kernel -------------------------------------------------------------
@@ -125,7 +134,7 @@ def _decoded(form: tuple) -> tuple[Callable[[Vec], Vec], Vec]:
 # infinity in direction (X, Y).  An edge is labelled by the index of the
 # constraint whose line carries it, or by _INF for the line at infinity, and
 # the vertex between two edges is the cross product of their integer rows
-# (fm's ``_row``), so vertices never grow beyond degree 2 in the input.  The
+# (``row()``), so vertices never grow beyond degree 2 in the input.  The
 # sign of a constraint at a vertex is one integer dot product.
 #
 # The closure is the conic hull of the cycle's vertices once every edge is
@@ -265,14 +274,18 @@ def ccw_order(points: Sequence[Vec]) -> list[Vec]:
     return [p for p, _ in sorted(rel, key=functools.cmp_to_key(cmp))]
 
 
+def _shoelace(pts: list[Vec]) -> Scalar:
+    """Signed area of a vertex cycle, positive when counterclockwise."""
+    twice: Scalar = _ZERO
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        twice = twice + cross2(p, q)
+    return twice * _HALF
+
+
 def convex_area(points: Sequence[Vec]) -> Scalar:
     """Exact area of the convex hull of planar points that are its vertices
     (e.g. the vertex positions of a bounded planar closure); 0 below three."""
-    cycle = ccw_order(points)
-    twice: Scalar = _ZERO
-    for p, q in zip(cycle, cycle[1:] + cycle[:1]):
-        twice = twice + cross2(p, q)
-    return twice * _HALF
+    return _shoelace(ccw_order(points))
 
 
 class ClosedPiece:
@@ -423,7 +436,7 @@ class Cell:
         return self._empty
 
     def _row_of(self, label: int):
-        return _INF_ROW if label == _INF else _row(self.constraints[label])
+        return _INF_ROW if label == _INF else self.constraints[label].row()[0]
 
     def _edges(self) -> Optional[tuple]:
         """The closure's edge cycle (2-dimensional carriers only), clipped
@@ -516,11 +529,11 @@ class Cell:
 
     def moved(self, form: tuple) -> "Cell":
         """The image under the rigid motion x -> R x + t with the integer
-        form ``form`` (``_rigid_form``).  A full carrier maps onto itself,
+        form ``form`` (see ``Motion``).  A full carrier maps onto itself,
         so its constraints' rows map directly.  R is a rotation, so a plane
         cell's edge cycle keeps its labels, and its vertices are re-derived
         from the moved rows."""
-        rot, _, shift, _ = form
+        rot, _, shift, dt = form
         if len(shift) != self.carrier.ambient_dim:
             raise GeometryError("motion and cell dimension mismatch")
         if rot is None and not any(shift):
@@ -531,7 +544,9 @@ class Cell:
             if self._cycle is not None and self.constraints:  # the whole plane has no labels
                 out._cycle = (self._cycle[0], None)
         else:
-            out = self._moved_via_carrier(*_decoded(form))
+            out = self._moved_via_carrier(
+                lambda v: _vec(*_mapped(form, *_encode(v), shift=False)), _vec(shift, dt)
+            )
         # A rigid motion is a bijection, so the image is empty iff the cell is.
         out._empty = self._empty
         return out
@@ -554,7 +569,7 @@ class Cell:
         return out
 
     def translated(self, v: Vec) -> "Cell":
-        return self.moved(_rigid_form(None, v))
+        return self.moved((None, 1, *_encode(v)))
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":
         out = Cell(self.carrier, constraints)  # checks the added ones only

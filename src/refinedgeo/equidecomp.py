@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     RefinedPolytope,
     _exact_key,
+    _partition_witness,
     area,
     boundary_cancels,
     equals,
@@ -34,12 +35,15 @@ from .algebra import (
     partition_failure,
     plane_cycles,
 )
-from .cells import Cell, _rigid_form, ccw_order
+from .cells import Cell, _mapped, _rotated, _rotation_form, _shoelace, _vec, ccw_order
 from .errors import GeometryError
 from .linalg import AffineFunctional, Carrier, Vec, cross2
 from .resolution import Flag, RefinedPoint
 from .scalars import (
     Scalar,
+    _encode,
+    _reduced,
+    _scale,
     adjoin_sqrt,
     ceil_scalar,
     floor_scalar,
@@ -78,9 +82,17 @@ PLANE = Carrier.full(2)
 
 
 class Motion:
-    """Orientation-preserving rigid motion x -> R x + t with R exact."""
+    """Orientation-preserving rigid motion x -> R x + t with R exact.
 
-    __slots__ = ("rotation", "translation", "_form")
+    A motion is its integer form ``(r, DR, t, DT)``, which ``Cell.moved``
+    takes: R = r / DR and t = t / DT in lowest terms, r two rows of integer
+    tower dicts or None exactly when R = I (then DR = 1), t two integer
+    tower dicts.  Composing, inverting and applying a motion is integer
+    arithmetic on the form; ``rotation`` and ``translation`` are decoded
+    views.  Public construction checks that R is orthogonal with
+    determinant 1; products and inverses are so by construction."""
+
+    __slots__ = ("form",)
 
     def __init__(self, rotation, translation):
         rows = tuple(tuple(to_scalar(e) for e in row) for row in rotation)
@@ -94,58 +106,54 @@ class Motion:
             or sign(a * d - b * c - 1) != 0
         ):
             raise GeometryError("rotation must be orthogonal with determinant 1")
-        self.rotation = rows
-        self.translation = translation if isinstance(translation, Vec) else Vec(translation)
-        if self.translation.dim != 2:
+        translation = translation if isinstance(translation, Vec) else Vec(translation)
+        if translation.dim != 2:
             raise GeometryError("translation must be a plane vector")
-        self._form: Optional[tuple] = None
+        self.form = (*_rotation_form(*_encode((a, b, c, d))), *_encode(translation))
 
     @classmethod
-    def _exact(cls, rows, translation: Vec) -> "Motion":
-        """A motion from rows already known to be orthogonal with
-        determinant 1 (products, transposes and the identity of checked
-        ones), so they are not checked again."""
+    def _of(cls, form: tuple) -> "Motion":
+        """The motion of a form derived from checked ones, not checked again."""
         m = object.__new__(cls)
-        m.rotation = rows
-        m.translation = translation
-        m._form = None
+        m.form = form
         return m
 
     @classmethod
     def identity(cls) -> "Motion":
-        return cls._exact(_IDENTITY, Vec(_ZERO, _ZERO))
+        return cls._of((None, 1, [{}, {}], 1))
 
     @classmethod
     def translation_by(cls, v: Vec) -> "Motion":
         v = v if isinstance(v, Vec) else Vec(v)
         if v.dim != 2:
             raise GeometryError("translation must be a plane vector")
-        return cls._exact(_IDENTITY, v)
+        return cls._of((None, 1, *_encode(v)))
 
     @classmethod
     def rotation_about(cls, center: Vec, cos, sin) -> "Motion":
         m = cls(((cos, -to_scalar(sin)), (sin, cos)), Vec(_ZERO, _ZERO))
-        return cls._exact(m.rotation, center - m.apply_direction(center))
+        return cls.translation_by(center - m.apply_direction(center)).compose(m)
+
+    @property
+    def rotation(self) -> tuple:
+        rot, dr = self.form[:2]
+        return _IDENTITY if rot is None else tuple(_vec(r, dr).coords for r in rot)
+
+    @property
+    def translation(self) -> Vec:
+        return _vec(*self.form[2:])
 
     def apply_direction(self, v: Vec) -> Vec:
-        (a, b), (c, d) = self.rotation
-        return Vec(a * v[0] + b * v[1], c * v[0] + d * v[1])
+        return _vec(*_mapped(self.form, *_encode(v), shift=False))
 
     def apply_vec(self, x: Vec) -> Vec:
-        return self.apply_direction(x) + self.translation
+        return _vec(*_mapped(self.form, *_encode(x)))
 
     def apply_flag(self, flag: Flag) -> Flag:
         return Flag([self.apply_direction(v) for v in flag])
 
     def apply_refined_point(self, rp: RefinedPoint) -> RefinedPoint:
         return RefinedPoint(self.apply_vec(rp.position), self.apply_flag(rp.flag))
-
-    @property
-    def form(self) -> tuple:
-        """The integer form ``Cell.moved`` takes, encoded once."""
-        if self._form is None:
-            self._form = _rigid_form(self.rotation, self.translation)
-        return self._form
 
     def apply_cell(self, cell: Cell) -> Cell:
         return cell.moved(self.form)
@@ -154,29 +162,26 @@ class Motion:
         return RefinedPolytope(p.rank, [self.apply_cell(c) for c in p.cells])
 
     def compose(self, other: "Motion") -> "Motion":
-        """self after other: x -> self(other(x))."""
-        (a, b), (c, d) = self.rotation
-        (e, f), (g, h) = other.rotation
-        rows = (
-            (a * e + b * g, a * f + b * h),
-            (c * e + d * g, c * f + d * h),
-        )
-        return Motion._exact(rows, self.apply_vec(other.translation))
+        """self after other: x -> self(other(x)), with R = R1 R2 and
+        t = R1 t2 + t1."""
+        r1, dr1 = self.form[:2]
+        r2, dr2, t2, dt2 = other.form
+        if r1 is None or r2 is None:
+            rot = (r2, dr2) if r1 is None else (r1, dr1)
+        else:
+            cols = [_rotated(r1, col) for col in zip(*r2)]
+            rot = _rotation_form([e for row in zip(*cols) for e in row], dr1 * dr2)
+        return Motion._of((*rot, *_mapped(self.form, t2, dt2)))
 
     def inverse(self) -> "Motion":
-        (a, b), (c, d) = self.rotation
-        back = Motion._exact(((a, c), (b, d)), Vec(_ZERO, _ZERO))
-        return Motion._exact(back.rotation, -back.apply_direction(self.translation))
+        """x -> R^T x - R^T t."""
+        rot, dr, t, dt = self.form
+        back = None if rot is None else tuple(zip(*rot))
+        ints, den = _reduced(_rotated(back, t), dr * dt)
+        return Motion._of((back, dr, [_scale(e, -1) for e in ints], den))
 
     def is_identity(self) -> bool:
-        (a, b), (c, d) = self.rotation
-        return (
-            sign(a - 1) == 0
-            and sign(d - 1) == 0
-            and sign(b) == 0
-            and sign(c) == 0
-            and self.translation.is_zero()
-        )
+        return self.form[0] is None and self.translation.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Motion):
@@ -212,12 +217,7 @@ def _as_vecs(vertices: Sequence) -> list[Vec]:
 
 def shoelace_area(vertices: Sequence[Vec]) -> Scalar:
     """Signed area of a vertex cycle (positive when counterclockwise)."""
-    pts = _as_vecs(vertices)
-    total: Scalar = _ZERO
-    n = len(pts)
-    for i in range(n):
-        total = total + cross2(pts[i], pts[(i + 1) % n])
-    return total * _HALF
+    return _shoelace(_as_vecs(vertices))
 
 
 def _strictly_convex(pts: Sequence[Vec]) -> bool:
@@ -682,7 +682,7 @@ def _chain_q_onto_rect_p(
     rot = Motion(((cos, -sin), (sin, cos)), Vec(_ZERO, _ZERO))
     if rot.apply_direction(s) != -bp or rot.apply_direction(m) != np_:
         raise GeometryError("rigid alignment failed; exact arithmetic bug")
-    chain.move(Motion._exact(rot.rotation, (op + bp) - rot.apply_direction(o)))
+    chain.move(Motion.translation_by((op + bp) - rot.apply_direction(o)).compose(rot))
     log.append(f"{tag}: rotated onto the target rectangle")
     return chain
 
@@ -812,7 +812,7 @@ def verify_decomposition(
         failure = None
         if not partition_certified(pieces, whole):
             certified = False
-            failure = partition_failure(pieces, whole)
+            failure = _partition_witness(pieces, whole)
         report.add(
             f"pieces partition the {label} polygon",
             failure is None,

@@ -1,8 +1,9 @@
 """Exact Fourier-Motzkin elimination over mixed strict/weak inequalities.
 
-A constraint is ``coeffs . x + const >= 0`` (weak) or ``> 0`` (strict).
-Systems live in the intrinsic coordinates of some carrier, so the ambient
-dimension here is the carrier dimension (desk scale: <= 3 variables).
+A constraint is ``coeffs . x + const >= 0`` (weak) or ``> 0`` (strict),
+held as an affine functional and a flag (``LinIneq``).  Systems live in
+the intrinsic coordinates of some carrier, so the ambient dimension here
+is the carrier dimension (desk scale: <= 3 variables).
 Cells on carriers of any dimension but 2 decide emptiness, pruning and
 closures here.  Plane cells read those from their edge cycles in
 ``cells``, and come here only for witnesses (``sample_point``) and ranks
@@ -11,12 +12,13 @@ system, such as a closed piece built directly.
 
 Every scalar lies in the square-root tower of ``scalars``, whose encoding is
 a sparse vector of integer numerators over the monomial basis of the tower's
-generators, above one positive denominator.  The solver reads that encoding
-directly and brings each row over one denominator, which it drops, so
-elimination, substitution and Cramer's rule are integer arithmetic on the
-same vectors.  Signs come from the tower's exact integer enclosure, with no
-float used; the recursive norm rule decides only when the enclosure contains
-0.  Each output coordinate is one quotient of two vectors.
+generators, above one positive denominator.  The solver reads each
+functional's integer row, which it has from birth, and drops the row's
+positive denominator, so elimination, substitution and Cramer's rule are
+integer arithmetic on the same vectors.  Signs come from the tower's exact
+integer enclosure, with no float used; the recursive norm rule decides only
+when the enclosure contains 0.  Each output coordinate is one quotient of
+two vectors.
 Feasibility answers are definitive, and sample points and vertices are exact.
 """
 
@@ -24,22 +26,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Optional, Sequence
 
 from .linalg import AffineFunctional, Vec, rank
 from .scalars import (
     Scalar,
     _add,
-    _encode,
     _inverse,
     _mul,
+    _reduced,
     _scalar,
     _scale,
     _sign,
     _sub,
     sign,
-    to_scalar,
 )
 
 __all__ = [
@@ -56,27 +56,32 @@ _ZERO = Fraction(0)
 
 
 class LinIneq:
-    """coeffs . x + const >= 0, strict for > 0."""
+    """xi >= 0, strict for > 0: an affine functional ``xi`` and a flag.
+    ``coeffs`` and ``const`` read the functional, and the solver reads its
+    integer row, so the rows of a cell's constraints are never re-encoded."""
 
-    __slots__ = ("coeffs", "const", "strict", "source")
+    __slots__ = ("xi", "strict")
 
     def __init__(self, coeffs: Sequence, const, strict: bool):
-        self.coeffs = tuple(to_scalar(c) for c in coeffs)
-        self.const = to_scalar(const)
+        self.xi = AffineFunctional(Vec(*coeffs), const)
         self.strict = bool(strict)
-        self.source: Optional[AffineFunctional] = None
 
     @classmethod
     def from_functional(cls, xi: AffineFunctional, strict: bool) -> "LinIneq":
-        out = cls(xi.linear.coords, xi.constant, strict)
-        out.source = xi
+        out = object.__new__(cls)
+        out.xi, out.strict = xi, bool(strict)
         return out
 
+    @property
+    def coeffs(self) -> tuple:
+        return self.xi.linear.coords
+
+    @property
+    def const(self) -> Scalar:
+        return self.xi.constant
+
     def value(self, point: Sequence[Scalar]) -> Scalar:
-        total = self.const
-        for c, x in zip(self.coeffs, point):
-            total = total + c * x
-        return total
+        return self.xi.value(Vec(*point))
 
     def satisfied(self, point: Sequence[Scalar]) -> bool:
         s = sign(self.value(point))
@@ -85,23 +90,6 @@ class LinIneq:
     def __repr__(self) -> str:
         op = ">" if self.strict else ">="
         return f"LinIneq({list(self.coeffs)!r} . x + {self.const!r} {op} 0)"
-
-
-def _row(xi: AffineFunctional) -> list:
-    """xi's integer row without its positive denominator: a positive
-    multiple of xi, which is all a sign or an elimination needs.  The
-    functional keeps its row, so every question asked about the same
-    geometry encodes it once, and a moved functional is born with one."""
-    ints = xi._ints
-    return xi.row()[0] if ints is None else ints
-
-
-def _rows(cons: Sequence[LinIneq]) -> list:
-    """(strict, integer row) pairs."""
-    return [
-        (c.strict, _encode([*c.coeffs, c.const])[0] if c.source is None else _row(c.source))
-        for c in cons
-    ]
 
 
 # -- elimination ------------------------------------------------------------------
@@ -118,12 +106,7 @@ def _simplify(rows) -> Optional[list]:
             if s < 0 or (s == 0 and strict):
                 return None
             continue
-        g = 0
-        for e in ints:
-            for v in e.values():
-                g = gcd(g, v)
-        if g > 1:
-            ints = [{m: v // g for m, v in e.items()} for e in ints]
+        ints = _reduced(ints, 0)[0]
         key = tuple(tuple(sorted(e.items())) for e in ints[:-1])
         j = seen.get(key)
         if j is None:
@@ -215,7 +198,7 @@ def _interval(rows, var: int):
 
 def feasible(cons: Sequence[LinIneq], nvars: int) -> bool:
     """Exact feasibility of the mixed strict/weak system."""
-    system = _simplify(_rows(cons))
+    system = _simplify([(c.strict, c.xi.row()[0]) for c in cons])
     if system is None:
         return False
     remaining = list(range(nvars))
@@ -263,7 +246,7 @@ def _choose(lo, hi) -> tuple:
 
 def sample_point(cons: Sequence[LinIneq], nvars: int) -> Optional[list[Scalar]]:
     """An exact feasible point, or None when the system is infeasible."""
-    system = _simplify(_rows(cons))
+    system = _simplify([(c.strict, c.xi.row()[0]) for c in cons])
     if system is None:
         return None
     stages: list[tuple[int, list]] = []
@@ -304,7 +287,7 @@ def implicit_equalities(cons: Sequence[LinIneq], nvars: int) -> list[int]:
         if c.strict:
             continue
         probe = list(base)
-        probe[i] = LinIneq(c.coeffs, c.const, True)
+        probe[i] = LinIneq.from_functional(c.xi, True)
         if not feasible(probe, nvars):
             out.append(i)
     return out
@@ -319,7 +302,7 @@ def affine_dim(cons: Sequence[LinIneq], nvars: int) -> int:
     if not feasible(cons, nvars):
         return -1
     eq = implicit_equalities(cons, nvars)
-    normals = [Vec(*cons[i].coeffs) for i in eq]
+    normals = [cons[i].xi.linear for i in eq]
     return nvars - rank(normals)
 
 
@@ -362,7 +345,7 @@ def vertices(cons: Sequence[LinIneq], nvars: int) -> list[list[Scalar]]:
     rule; solutions satisfying the whole weak system are collected
     (deduplicated).
     """
-    systems = [ints for _, ints in _rows(cons)]
+    systems = [c.xi.row()[0] for c in cons]
     found: list[tuple[list[dict], dict]] = []
     out: list[list[Scalar]] = []
     for combo in combinations(range(len(systems)), nvars):

@@ -10,11 +10,10 @@ what lets higher layers group cells by carrier with plain list scans.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import GeometryError
-from .scalars import Scalar, _encode, _scalar, _scale, _sign, scalar_str, sign, to_scalar
+from .scalars import Scalar, _encode, _reduced, _scalar, _scale, _sign, scalar_str, sign, to_scalar
 
 __all__ = [
     "AffineFunctional",
@@ -119,31 +118,26 @@ def cross2(u: Vec, v: Vec) -> Scalar:
 class AffineFunctional:
     """xi(x) = linear . x + constant.  Regular means the linear part is nonzero.
 
-    Two exact forms, each derived from the other on first need: the scalars
-    ``linear`` and ``constant``, and the integer row that ``fm``, the plane
-    kernel and motions read, one integer tower dict per coefficient and the
-    constant last, over one positive denominator (value = row / den).  A
-    functional built by ``from_row`` sets its scalar slots on their first
-    read, and later reads are plain slot reads."""
+    Its primary form is the integer row that ``fm``, the plane kernel and
+    motions read: one integer tower dict per coefficient and the constant
+    last, over one positive denominator (value = row / den), in lowest
+    terms.  Every functional has it from birth: ``__init__`` encodes its
+    scalars once, and ``from_row`` takes a row and sets the scalar slots
+    ``linear`` and ``constant`` on their first read."""
 
     __slots__ = ("linear", "constant", "_ints", "_den")
 
     def __init__(self, linear, constant=0):
         self.linear = linear if isinstance(linear, Vec) else Vec(linear)
         self.constant = to_scalar(constant)
-        self._ints: Optional[list] = None
+        self._ints, self._den = _encode([*self.linear.coords, self.constant])
 
     @classmethod
     def from_row(cls, ints: list, den: int) -> "AffineFunctional":
         """The functional ints / den, for integer tower dicts and den > 0,
         reduced by the gcd of den and every numerator."""
-        g = gcd(den, *(v for e in ints for v in e.values()))
-        if g > 1:
-            ints = [{m: v // g for m, v in e.items()} for e in ints]
-            den //= g
         xi = object.__new__(cls)
-        xi._ints = ints
-        xi._den = den
+        xi._ints, xi._den = _reduced(ints, den)
         return xi
 
     def __getattr__(self, name):
@@ -157,8 +151,6 @@ class AffineFunctional:
 
     def row(self) -> tuple[list, int]:
         """(integer row, positive denominator), the constant last."""
-        if self._ints is None:
-            self._ints, self._den = _encode([*self.linear.coords, self.constant])
         return self._ints, self._den
 
     @property
@@ -173,9 +165,7 @@ class AffineFunctional:
         return self.linear.dot(point) + self.constant
 
     def __neg__(self) -> "AffineFunctional":
-        if self._ints is not None:
-            return AffineFunctional.from_row([_scale(e, -1) for e in self._ints], self._den)
-        return AffineFunctional(-self.linear, -self.constant)
+        return AffineFunctional.from_row([_scale(e, -1) for e in self._ints], self._den)
 
     def scale(self, factor) -> "AffineFunctional":
         f = to_scalar(factor)
@@ -248,16 +238,7 @@ def solve_square(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Opt
 
 def nullspace(rows: Sequence[Vec], n: int) -> list[Vec]:
     """Basis of {x : row . x = 0 for every row}, for vectors of length n."""
-    reduced, pivots = _rref([list(v.coords) for v in rows])
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        coords = [_ZERO] * n
-        coords[f] = _ONE
-        for i, p in enumerate(pivots):
-            coords[p] = -reduced[i][f]
-        basis.append(Vec(*coords))
-    return basis
+    return affine_solution_space(rows, [_ZERO] * len(rows), n)[1]
 
 
 def affine_solution_space(

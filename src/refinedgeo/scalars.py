@@ -259,6 +259,15 @@ def _encode(values) -> tuple[list, int]:
     return [num if den == d else _scale(num, d // den) for num, den in pairs], d
 
 
+def _reduced(ints: list, den: int) -> tuple[list, int]:
+    """The integer dicts ints over den with the gcd of den and every
+    numerator divided out; den = 0 divides out the numerators' gcd alone."""
+    g = gcd(den, *(v for e in ints for v in e.values()))
+    if g > 1:
+        return [{m: v // g for m, v in e.items()} for e in ints], den // g
+    return ints, den
+
+
 def _scalar(num: dict, den: int = 1) -> Scalar:
     """The scalar num/den (den > 0) in lowest terms: a Fraction once no
     generator is left."""

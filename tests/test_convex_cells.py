@@ -38,7 +38,6 @@ from refinedgeo.equidecomp import (
     triangulate_cycle,
 )
 from refinedgeo.errors import GeometryError
-from refinedgeo.fm import _row
 from refinedgeo.linalg import Carrier, Vec, cross2
 from refinedgeo.scalars import _mul, _sign, _sub, adjoin_sqrt, sign
 
@@ -210,7 +209,7 @@ def test_given_cycle_matches_the_clipped_one(kind):
             # The same cycle up to rotation, label by label.
             k = ref_labels.index(0)
             assert ref_labels[k:] + ref_labels[:k] == labels == tuple(range(len(pts)))
-            rows = [_row(xi) for xi in given.constraints]
+            rows = [xi.row()[0] for xi in given.constraints]
             for i, v in enumerate(verts):
                 assert _positive_multiple(v, ref_verts[(k + i) % len(verts)])
                 assert _positive_multiple(v, _cross(rows[i - 1], rows[i]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from refinedgeo import equidecomp
+from refinedgeo import algebra, equidecomp
 from refinedgeo.algebra import RefinedPolytope, _exact_key, equals, partition_check, plane_cycles
 from refinedgeo.cells import Cell
 from refinedgeo.cli import write_decomposition
@@ -461,6 +461,34 @@ def test_verify_flags_tampered_decomposition():
     assert any("partition the target" in label for label, _, _ in failed)
     # The partition failure names a witness refined point.
     assert any("RefinedPoint" in detail for _, ok, detail in report.entries if not ok)
+
+
+def test_a_failing_side_runs_the_certificate_once(monkeypatch):
+    """The benchmark's wbg negative control: a decomposition verified
+    against a shifted target.  Each side tries boundary cancellation once;
+    the side it does not certify goes straight to the witness checks, which
+    used to run through ``partition_failure`` and try the certificate
+    again."""
+    calls = []
+    certified = algebra.partition_certified
+
+    def spy(parts, whole):
+        calls.append(whole)
+        return certified(parts, whole)
+
+    monkeypatch.setattr(algebra, "partition_certified", spy)
+    monkeypatch.setattr(equidecomp, "partition_certified", spy)
+    tri = [Vec(0, 0), Vec(4, 0), Vec(0, 2)]
+    square = [Vec(0, 0), Vec(2, 0), Vec(2, 2), Vec(0, 2)]
+    d = equidecompose(tri, square, check=False)
+    source = polygon_lift(tri)
+    wrong = polygon_lift([v + Vec(F(1, 2), 0) for v in square])
+    calls.clear()
+    report = verify_decomposition(d, source, wrong)
+    assert calls == [source, wrong]
+    failed = [(label, detail) for label, ok, detail in report.entries if not ok]
+    assert failed[0][0] == "pieces partition the target polygon"
+    assert "RefinedPoint" in failed[0][1]
 
 
 def test_motion_check_matches_equals(monkeypatch):

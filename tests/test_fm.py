@@ -14,6 +14,7 @@ import pytest
 from conftest import deadline
 
 from refinedgeo.errors import GeometryError
+from refinedgeo.linalg import AffineFunctional
 from refinedgeo.fm import (
     LinIneq,
     affine_dim,
@@ -233,6 +234,39 @@ def test_farkas_combinations_are_infeasible(kind):
             rng.shuffle(cons)
             assert not feasible(cons, nvars)
             assert sample_point(cons, nvars) is None
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_functional_systems_answer_as_coefficient_systems(kind):
+    """A LinIneq holds a functional, whose integer row fm reads.  Systems
+    built from coefficients and from row-built functionals of the same
+    values give identical answers, and fm decodes no row-built functional's
+    scalars for ``feasible`` or ``vertices``."""
+    rng = random.Random(f"from-functional-{kind}")
+    units = UNITS[kind]
+    outcomes = set()
+    with deadline(20, f"functional-built {kind} systems"):
+        for _ in range(40):
+            nvars = rng.choice([1, 2, 3])
+            cons = [
+                LinIneq(
+                    [_tower_scalar(rng, units) for _ in range(nvars)],
+                    _tower_scalar(rng, units),
+                    rng.random() < 0.5,
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            fns = [AffineFunctional.from_row(*c.xi.row()) for c in cons]
+            same = [LinIneq.from_functional(xi, c.strict) for xi, c in zip(fns, cons)]
+            outcomes.add(feasible(same, nvars))
+            assert feasible(cons, nvars) is feasible(same, nvars)
+            assert repr(vertices(cons, nvars)) == repr(vertices(same, nvars))
+            for xi in fns:
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(xi, "linear")
+            assert repr(sample_point(cons, nvars)) == repr(sample_point(same, nvars))
+            assert [repr(c) for c in cons] == [repr(c) for c in same]
+    assert outcomes == {True, False}
 
 
 def test_vertices_of_tower_triangle():

@@ -14,13 +14,15 @@ from refinedgeo.linalg import (
     Vec,
     affine_hull,
     cross2,
+    nullspace,
     rank,
     restrict_functional,
     solve_square,
 )
-from refinedgeo.scalars import adjoin_sqrt, sign
+from refinedgeo.scalars import _encode, adjoin_sqrt, sign
 
 SQRT2 = adjoin_sqrt(2)
+SQRT3 = adjoin_sqrt(3)
 
 
 def test_rank_golden():
@@ -184,3 +186,49 @@ def test_zero_dim_carrier():
     assert pt.contains_point(Vec(2, 3))
     assert not pt.contains_point(Vec(2, 4))
     assert pt.coords_of_point(Vec(2, 3)) == Vec()
+
+
+def test_nullspace_golden():
+    # One basis vector per free column, pivots solved: x + 2y - z = 0.
+    assert nullspace([Vec(1, 2, -1)], 3) == [Vec(-2, 1, 0), Vec(1, 0, 1)]
+    assert nullspace([], 2) == [Vec(1, 0), Vec(0, 1)]
+    assert nullspace([Vec(1, 0), Vec(1, SQRT2)], 2) == []
+    (v,) = nullspace([Vec(SQRT2, 1, 0), Vec(0, 0, 1)], 3)
+    assert v == Vec(-1 / SQRT2, 1, 0)
+
+
+def _rand_tower(rng: random.Random):
+    x = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    for u in (SQRT2, SQRT3):
+        if rng.random() < 0.5:
+            x = x + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * u
+    return x
+
+
+def test_every_functional_has_its_row_from_birth():
+    """Each way a functional is made gives the integer row that encoding its
+    scalars gives, in lowest terms: ``__init__``, ``from_row`` on a row
+    with a common factor, negation, ``scale`` and ``restrict_functional``."""
+
+    def encoded(xi) -> bool:
+        return xi.row() == _encode([*xi.linear.coords, xi.constant])
+
+    rng = random.Random("rows-at-birth")
+    for _ in range(60):
+        d = rng.choice([1, 2, 3])
+        xi = AffineFunctional(Vec(*[_rand_tower(rng) for _ in range(d)]), _rand_tower(rng))
+        ints, den = xi.row()
+        k = rng.randint(2, 6)
+        grown = AffineFunctional.from_row([{m: k * v for m, v in e.items()} for e in ints], k * den)
+        carrier = affine_hull([Vec(*[_rand_tower(rng) for _ in range(d)]) for _ in range(d)])
+        made = [
+            xi,
+            grown,
+            -xi,
+            -grown,
+            xi.scale(_rand_tower(rng)),
+            restrict_functional(xi, carrier),
+            restrict_functional(grown, carrier),
+        ]
+        assert grown.row() == (ints, den) and grown == xi and (-grown).row() == (-xi).row()
+        assert all(encoded(eta) for eta in made)

@@ -16,7 +16,9 @@ vertex on the clipping line is treated as outside.
 
 Moved plane cells map their constraints' integer rows with a motion's
 integer form; the reference there is the scalar path
-``Cell._moved_via_carrier`` of the same motion.
+``Cell._moved_via_carrier`` of the same motion.  Motions compose, invert
+and apply on their integer forms; the reference there is a test-local copy
+of the scalar matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -245,6 +247,85 @@ def _form_is_the_encoding(m: Motion) -> bool:
     return ([*rot[0], *rot[1]], dr) == _encode((a, b, c, d))
 
 
+_I = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def _ref_apply(ref, x: Vec, shift: bool = True) -> Vec:
+    """The scalar ``apply_vec`` (``apply_direction`` without the shift) of a
+    motion given as (rotation rows, translation)."""
+    (a, b), (c, d) = ref[0]
+    out = Vec(a * x[0] + b * x[1], c * x[0] + d * x[1])
+    return out + ref[1] if shift else out
+
+
+def _ref_compose(ref1, ref2) -> tuple:
+    """The scalar ``compose``: ref1 after ref2."""
+    (a, b), (c, d) = ref1[0]
+    (e, f), (g, h) = ref2[0]
+    rows = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return rows, _ref_apply(ref1, ref2[1])
+
+
+def _ref_inverse(ref) -> tuple:
+    (a, b), (c, d) = ref[0]
+    back = ((a, c), (b, d))
+    return back, -_ref_apply((back, None), ref[1], shift=False)
+
+
+def _stage_pair(rng: random.Random, kind: str) -> tuple:
+    """A stage motion and its scalar reference, built from the same input."""
+    units = UNITS[kind]
+    center = Vec(_scalar(rng, units), _scalar(rng, units))
+    roll = rng.random()
+    if roll < 0.5:
+        c, s = rng.choice(ROTATIONS[kind])
+        rows = ((c, -s), (s, c))
+        ref = rows, center - _ref_apply((rows, None), center, shift=False)
+        return Motion.rotation_about(center, c, s), ref
+    if roll < 0.9:
+        return Motion.translation_by(center), (_I, center)
+    return Motion.identity(), (_I, Vec(0, 0))
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_motion_forms_match_the_scalar_reference(kind):
+    """Composing, inverting and applying motions on their integer forms,
+    against a test-local copy of the scalar arithmetic they replaced, along
+    seeded chains of compose and inverse.  Every form is the encoding of
+    its decoded values (so in lowest terms), the decoded rotation and
+    translation equal the reference, and m^-1 m has r = None.  In a scratch
+    copy this fails when compose transposes the product, drops the R1 t2
+    term, or skips the gcd reduction."""
+    rng = random.Random(f"motion-forms-{kind}")
+    units = UNITS[kind]
+    chains = 0
+    with deadline(60, f"motion forms ({kind})"):
+        for _ in range(60):
+            m, ref = Motion.identity(), (_I, Vec(0, 0))
+            for _ in range(rng.randint(1, 6)):
+                step, step_ref = _stage_pair(rng, kind)
+                how = rng.randrange(3)
+                if how == 0:
+                    m, ref = step.compose(m), _ref_compose(step_ref, ref)
+                elif how == 1:
+                    m, ref = m.compose(step.inverse()), _ref_compose(ref, _ref_inverse(step_ref))
+                else:
+                    m, ref = m.inverse().compose(step), _ref_compose(_ref_inverse(ref), step_ref)
+                assert _form_is_the_encoding(step) and _form_is_the_encoding(m)
+                assert m.translation == ref[1]
+                assert all(
+                    sign(x - y) == 0 for r, q in zip(m.rotation, ref[0]) for x, y in zip(r, q)
+                )
+                x = Vec(_scalar(rng, units), _scalar(rng, units))
+                assert m.apply_vec(x) == _ref_apply(ref, x)
+                assert m.apply_direction(x) == _ref_apply(ref, x, shift=False)
+            ident = m.inverse().compose(m)
+            assert ident.form[0] is None and ident.is_identity()
+            assert _form_is_the_encoding(m.inverse()) and _form_is_the_encoding(ident)
+            chains += m.form[0] is not None
+    assert chains > 20
+
+
 @pytest.mark.parametrize("kind", sorted(UNITS))
 def test_row_map_matches_carrier_path(kind):
     """Cells moved stage by stage, as a dissection chain moves its images,
@@ -272,7 +353,11 @@ def test_row_map_matches_carrier_path(kind):
                 image = step.apply_cell(image)
                 m = step.compose(m)
                 if rng.random() < 0.4:  # the same motion, rebuilt through inverses
-                    m = m.inverse().compose(m).compose(m.inverse().inverse())
+                    inv = m.inverse()
+                    parts = [inv, inv.compose(m), inv.inverse()]
+                    m = parts[1].compose(parts[2])
+                    assert parts[1].form[0] is None
+                    assert all(_form_is_the_encoding(part) for part in parts)
                 assert _form_is_the_encoding(step) and _form_is_the_encoding(m)
                 ref = cell._moved_via_carrier(m.apply_direction, m.translation)
                 assert len(image.constraints) == len(ref.constraints)
