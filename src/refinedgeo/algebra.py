@@ -16,17 +16,16 @@ ones.  Everything is exact.  Emptiness is decided by ``cells``: plane
 cells clip their parent's edge cycle, others ask ``fm`` about the strict
 system.
 
-Partitions of bounded plane figures are certified by boundary
-cancellation, which clips no part: when the parts' counterclockwise boundary
-edges minus the whole's cancel, the parts cover the whole once almost
-everywhere, and a defect would be a refined cell of positive area
-(``partition_failure`` gives the argument, after Guibas and Stolfi's
-planar subdivisions and the paper's equivalence of the refined and the
-conventional plane "in a sense").  Cycles with the same directed edges,
-compared by exact vertex keys, cancel whole first; the other edges' ends
-are keyed by exact encodings.  A value with two encodings only splits a
-group that must then cancel part by part, so a missed match falls back to
-the clipping checks, never to a wrong "holds".
+Partitions of plane figures, bounded or not, are certified by boundary
+cancellation, which clips no part: when the parts' boundary chains minus
+the whole's cancel on the oriented projective plane, the parts cover the
+whole once almost everywhere, and a defect would be a refined cell of
+positive area (``partition_failure`` gives the argument, after Stolfi,
+Guibas and Stolfi, and the paper's equivalence of the refined and the
+conventional plane "in a sense").  Each cell keys its boundary from its
+integer edge cycle (``Cell.keyed_boundary``).  A value with two encodings
+only splits a sum that must then vanish part by part, so a missed match
+falls back to the clipping checks, never to a wrong "holds".
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "partition_certified",
     "partition_check",
     "partition_failure",
-    "plane_cycles",
     "rank_drop_check",
     "union",
 ]
@@ -334,89 +332,41 @@ def area(p: RefinedPolytope) -> Scalar:
 # -- partitions --------------------------------------------------------------------
 
 
-def _exact_key(x: Scalar):
-    """A dict key for an exact value: a Fraction itself, a QuadExt its
-    encoding ``(den, sorted terms)``.  Equal keys are equal values; one
-    value may have several encodings (sqrt2*sqrt3 and sqrt6), and then
-    several keys."""
-    return x if isinstance(x, Fraction) else (x.den, tuple(sorted(x.terms.items())))
+def _plane(p: RefinedPolytope) -> bool:
+    return p.rank == 2 and (not p.cells or p.ambient_dim == 2)
 
 
-def plane_cycles(p: RefinedPolytope) -> Optional[list[list[Vec]]]:
-    """Each cell closure's vertices, counterclockwise; None unless p is a
-    rank-2 plane polytope whose cells are all bounded."""
-    if p.rank != 2 or (p.cells and p.ambient_dim != 2):
-        return None
-    out = []
-    for cell in p.cells:
-        piece = cell.closure()
-        if not piece.is_bounded():
-            return None
-        out.append(piece.vertex_positions())
-    return out
+def boundary_cancels(weighted: Iterable[tuple[int, Cell]]) -> bool:
+    """True when the weighted boundary chains of nonempty plane cells sum to
+    0 on the oriented projective plane; False may also mean that equal
+    values got unequal keys.
 
-
-def boundary_cancels(signed_cycles: Iterable[tuple[int, Sequence[Vec]]]) -> bool:
-    """True when the weighted counterclockwise boundaries of the cycles sum
-    to the zero 1-chain; False may also mean that equal values got unequal
-    keys.
-
-    Whole cycles cancel first.  A cycle is keyed by the set of its directed
-    edges, each a pair of exact vertex keys (x key, y key).  Equal keys are
-    equal values, so two cycles with equal keys are sums of the same
-    segments, have the same 1-chain, and their weights simply add; the
-    chain is linear in the weights, so the verdict is the one the edge sum
-    gives without grouping.  A set loses multiplicity, so a cycle that
-    repeats a directed edge (a triangle traversed twice) is never grouped:
-    its key would equal that of one copy.  Only such cycles and groups of
-    nonzero total weight reach the edge sum (``_edges_cancel``)."""
+    Cells are grouped by their vertices' keys (``Cell.keyed_boundary``).  A
+    cell's cycle repeats no vertex, since clipping (Sutherland-Hodgman)
+    keeps a vertex on the line once and crosses only at strict sign
+    changes, and its closure is their conic hull: cells with equal sets
+    have equal chains, and their weights add.  The chain is linear in the
+    weights, so only groups of nonzero total weight reach the edge sum
+    (``_edges_cancel``)."""
     groups: dict = {}
-    rest = []
-    for weight, cycle in signed_cycles:
-        keys = [(_exact_key(x), _exact_key(y)) for x, y in cycle]
-        edges = frozenset(zip(keys, keys[1:] + keys[:1]))
-        if len(edges) < len(keys):
-            rest.append((weight, cycle, keys))
-        elif edges in groups:
-            groups[edges][0] += weight
-        else:
-            groups[edges] = [weight, cycle, keys]
-    rest += [group for group in groups.values() if group[0]]
+    for weight, cell in weighted:
+        group = groups.setdefault(frozenset(cell.keyed_boundary()[0]), [0, cell])
+        group[0] += weight
+    rest = [group for group in groups.values() if group[0]]
     return not rest or _edges_cancel(rest)
 
 
-def _edges_cancel(weighted: Sequence) -> bool:
-    """The edge sum of ``boundary_cancels`` over (weight, cycle, vertex
-    keys) triples.
-
-    An edge adds its weight at its start and subtracts it at its end, keyed
-    by (supporting line, point on the line): a line by slope and intercept,
-    or by x when vertical, and a point by x, or by y when vertical.  On one
-    line these sums are the jumps of the oriented multiplicity along it,
-    so they all vanish exactly when the chain does there.  Keys are exact
-    encodings (``_exact_key``): a value with two encodings splits a group
-    in two, and each part must then cancel on its own, which the true sum
-    only makes harder.  So a missed match answers False, never a wrong
-    True.  A point key is its vertex's x or y key, computed once."""
+def _edges_cancel(weighted: Sequence[tuple[int, Cell]]) -> bool:
+    """The edge sum over (weight, cell) pairs: each jump of a cell's chain
+    (``Cell.boundary_jumps``) adds its sign times the weight at its (line,
+    point) key, and every sum must be 0 (``partition_failure``, steps 4 and
+    5).  A value with two encodings splits a sum in two, each part of which
+    must then vanish: a missed match answers False, never a wrong True."""
     chain: dict = {}
-    for weight, cycle, keys in weighted:
-        n = len(cycle)
-        for i in range(n):
-            j = (i + 1) % n
-            a, b = cycle[i], cycle[j]
-            dx = b[0] - a[0]
-            if sign(dx) == 0:
-                line, axis = (None, keys[i][0]), 1
-            else:
-                slope = (b[1] - a[1]) / dx
-                line, axis = (_exact_key(slope), _exact_key(a[1] - slope * a[0])), 0
-            sums = chain.get(line)
-            if sums is None:
-                sums = chain[line] = {}
-            s, t = keys[i][axis], keys[j][axis]
-            sums[s] = sums.get(s, 0) + weight
-            sums[t] = sums.get(t, 0) - weight
-    return not any(any(sums.values()) for sums in chain.values())
+    for weight, cell in weighted:
+        for line, point, s in cell.boundary_jumps():
+            chain[line, point] = chain.get((line, point), 0) + s * weight
+    return not any(chain.values())
 
 
 def partition_certified(parts: Sequence[RefinedPolytope], whole: RefinedPolytope) -> bool:
@@ -425,12 +375,8 @@ def partition_certified(parts: Sequence[RefinedPolytope], whole: RefinedPolytope
     it does not apply or does not decide.  Chains are compared first, since
     they need no clipping; the whole's cells are then checked for pairwise
     disjointness."""
-    cycles = [plane_cycles(x) for x in parts]
-    whole_cycles = plane_cycles(whole)
-    if whole_cycles is None or any(c is None for c in cycles):
-        return False
-    signed = [(1, c) for cs in cycles for c in cs] + [(-1, c) for c in whole_cycles]
-    if not boundary_cancels(signed):
+    weighted = [(1, c) for x in parts for c in x.cells] + [(-1, c) for c in whole.cells]
+    if not (all(map(_plane, (whole, *parts))) and boundary_cancels(weighted)):
         return False
     cells = whole.cells
     return all(
@@ -447,27 +393,32 @@ def partition_failure(
     refined-point witness of the failure.
 
     Boundary cancellation (``partition_certified``) is tried first.  It
-    applies when every cell of the parts and of the whole is a bounded
-    rank-2 cell in the plane; such a nonempty cell has a nonempty open
-    interior.
-      1. If the parts' counterclockwise boundary edges minus the whole's
-         sum to the zero 1-chain, the sum of the part cells' interior
-         indicators equals that of the whole's cells almost everywhere:
-         their difference is a winding number, linear in the chain and 0
-         far away.
-      2. If also the whole's cells are pairwise disjoint, that sum is the
-         indicator of the whole W, so the part cells are pairwise
-         interior-disjoint and cover W up to measure 0.
-      3. Lifts of interior-disjoint convex cells are refined-disjoint, and
-         a nonempty rank-2 cell of an overlap, a spill or a gap would have
-         positive area.  So the parts partition W in the refined sense.
-      4. The chain needs no clipping (``boundary_cancels``): cycles with
-         the same directed edges, by exact vertex keys, add their weights
-         and drop out when these sum to 0; each edge of the rest adds its
-         weight at its start and subtracts it at its end, keyed by exact
-         supporting line and position, and every sum must be 0.
-      5. The same argument without step 2 shows that two unions of such
-         cells with equal chains are equal (``verify_decomposition``).
+    applies to rank-2 plane polytopes, bounded or not.  Close every cell on
+    the oriented projective plane (Stolfi, 1991), the sphere whose open
+    front hemisphere is the affine plane and whose great circle W = 0 is
+    the line at infinity.
+      1. Every closure is a convex spherical polygon in the closed front
+         hemisphere, bounded by its counterclockwise edge cycle, and a
+         nonempty cell has a nonempty open interior.
+      2. If the parts' boundary chains minus the whole's sum to 0, the
+         weighted sum of the cells' interior indicators is a 2-cycle on the
+         sphere (Guibas and Stolfi, ACM TOG 1985), so it is constant almost
+         everywhere.  It is 0 on the back hemisphere, so it is 0.
+      3. If also the whole's cells are pairwise disjoint, the part cells
+         are pairwise interior-disjoint and cover the whole W up to measure
+         0.  Lifts of interior-disjoint convex cells are refined-disjoint,
+         and a nonempty rank-2 cell of an overlap, a spill or a gap would
+         have positive area.  So the parts partition W.
+      4. The chain needs no clipping (``boundary_cancels``).  Each edge
+         adds its weight at its start and subtracts it at its end, keyed
+         by exact unoriented line and point: the jumps of the multiplicity
+         along the line.  A finite line's edges lie in the front half of
+         its great circle, so vanishing jumps mean a zero chain there.
+      5. The line at infinity is a whole circle.  Vanishing jumps leave a
+         constant multiplicity there, and the weights of the arcs over the
+         direction just counterclockwise of (1, 0) pin it to 0.
+    Without step 3's disjointness, two unions of such cells with equal
+    chains are equal (``verify_decomposition``).
     The certificate only ever answers "holds".  Otherwise
     ``_partition_witness`` runs the checks.
     """

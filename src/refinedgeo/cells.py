@@ -231,6 +231,25 @@ def _clip(cycle: tuple, label: int, row, row_of) -> Optional[tuple]:
     return _resplit(out_l, out_v, row_of)
 
 
+def _key_over(v, e: dict) -> tuple:
+    """A dict key for integer tower dicts v over a nonzero e, which may be
+    one of them: v times num, 1/e = num/d, with e itself becoming d, then
+    over the gcd.  Equal keys are equal quotients, not conversely."""
+    if max(e):
+        num, d = _inverse(e)
+        v = [{0: d} if x is e else _mul(x, num) if x else x for x in v]
+    elif e[0] < 0:
+        v = [_scale(x, -1) for x in v]
+    return tuple(tuple(sorted(x.items())) for x in _reduced(v, 0)[0])
+
+
+def _point_key(v) -> tuple:
+    """(X, Y, W) over W > 0, or over |X| or |Y| at infinity, where opposite
+    directions are distinct points."""
+    e = next(e for e in (v[2], v[0], v[1]) if _sign(e))
+    return _key_over(v, e if _sign(e) > 0 else _scale(e, -1))
+
+
 def _cycle_vertices(labels: tuple, row_of) -> tuple:
     """The vertices of a cycle from its labels alone."""
     n = len(labels)
@@ -350,7 +369,7 @@ class ClosedPiece:
 class Cell:
     """Intersection of refined half-spaces inside a carrier."""
 
-    __slots__ = ("carrier", "constraints", "_empty", "_closure", "_cycle", "_parent")
+    __slots__ = ("carrier", "constraints", "_empty", "_closure", "_cycle", "_parent", "_keys")
 
     def __init__(self, carrier: Carrier, constraints: Iterable[AffineFunctional] = ()):
         cons = tuple(constraints)
@@ -368,6 +387,7 @@ class Cell:
         # and the cell this one extends, until the cycle is computed.
         self._cycle: Optional[tuple] = None
         self._parent: Optional[Cell] = None
+        self._keys: Optional[tuple] = None  # keyed_boundary's, once asked
 
     @classmethod
     def from_ambient(
@@ -473,6 +493,37 @@ class Cell:
             if self.carrier.dim == 2:
                 self._closure._cycle = self._edges()
         return self._closure
+
+    def keyed_boundary(self) -> tuple:
+        """The point keys of the closure's vertices in cycle order, and of
+        its finite corners, which ``vertex_positions`` lists; computed once
+        (nonempty cells on a 2-dimensional carrier).  The closure is the
+        conic hull of its vertices, so equal key sets mean equal closures."""
+        if self._keys is None:
+            labels, verts = self._edges()
+            points = tuple(_point_key(v) for v in verts)
+            corners = [p for i, p in enumerate(points) if verts[i][2] and labels[i] != labels[i - 1]]
+            self._keys = (points, frozenset(corners))
+        return self._keys
+
+    def boundary_jumps(self) -> list:
+        """The closure's boundary chain as jumps: (line key, point key, +1)
+        at the start of each edge and -1 at its end.  Edges at infinity run
+        counterclockwise; the one from Y <= 0 to Y > 0 covers the direction
+        just counterclockwise of (1, 0): +1 at None."""
+        labels, verts = self._edges()
+        points = self.keyed_boundary()[0]
+        lines = {}
+        for label in set(labels):  # a row over its first nonzero entry: either side inside
+            row = self._row_of(label)
+            lines[label] = _key_over(row, next(e for e in row if _sign(e)))
+        jumps, n = [], len(labels)
+        for i, label in enumerate(labels):
+            line = lines[label]
+            jumps += [(line, points[i], 1), (line, points[i + 1 - n], -1)]
+            if label == _INF and _sign(verts[i][1]) <= 0 < _sign(verts[i + 1 - n][1]):
+                jumps.append((line, None, 1))
+        return jumps
 
     # -- witnesses ------------------------------------------------------------
 

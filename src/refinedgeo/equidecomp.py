@@ -20,24 +20,22 @@ motion is exactly orthogonal with determinant one, checked on construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (
     RefinedPolytope,
-    _exact_key,
     _partition_witness,
+    _plane,
     area,
     boundary_cancels,
     equals,
     intersect,
     partition_certified,
-    partition_check,
     partition_failure,
-    plane_cycles,
 )
 from .cells import Cell, _mapped, _rotated, _rotation_form, _shoelace, _vec, ccw_order
 from .errors import GeometryError
-from .linalg import AffineFunctional, Carrier, Vec, cross2
+from .linalg import Carrier, Vec, cross2
 from .resolution import Flag, RefinedPoint
 from .scalars import (
     Scalar,
@@ -776,8 +774,9 @@ def _signatures_match(a: list[Scalar], b: list[Scalar]) -> bool:
     return len(a) == len(b) and all(sign(x - y) == 0 for x, y in zip(a, b))
 
 
-def _vertex_keys(cycles: Sequence[Sequence[Vec]]) -> set:
-    return {(_exact_key(v[0]), _exact_key(v[1])) for c in cycles for v in c}
+def _vertex_keys(p: RefinedPolytope) -> Optional[frozenset]:
+    """The exact keys of a plane p's vertices (``Cell.keyed_boundary``)."""
+    return frozenset().union(*(c.keyed_boundary()[1] for c in p.cells)) if _plane(p) else None
 
 
 def verify_decomposition(
@@ -787,19 +786,19 @@ def verify_decomposition(
     congruence cross-check on squared vertex distances.
 
     A partition that boundary cancellation certifies needs no clipping
-    (the five steps are in ``algebra.partition_failure``).  When both
-    sides are certified, every piece is a union of bounded rank-2 plane
-    cells, and m carries pp onto qq exactly when the boundary chain of m's
-    image of pp's cell cycles equals qq's chain.  Equal chains make the
-    sums of the two sides' interior indicators agree almost everywhere, so
-    the unions agree up to measure 0, and a nonempty rank-2 cell of either
-    difference would have positive area.  m has determinant 1, so images
-    of counterclockwise cycles stay counterclockwise.  A pair whose chains
-    differ, and every pair when a side was not certified, is decided by
-    moving pp and comparing with ``equals``, as before.
+    (the argument is in ``algebra.partition_failure``).  When both sides
+    are certified, every piece is a union of rank-2 plane cells, and m
+    carries pp onto qq exactly when the boundary chain of m's image of pp
+    equals qq's.  Equal chains make the sums of the two sides' interior
+    indicators agree almost everywhere, so the unions agree up to measure
+    0, and a nonempty rank-2 cell of either difference would have positive
+    area.  m has determinant 1, so images of counterclockwise cycles stay
+    counterclockwise.  A pair whose chains differ, and every pair when a
+    side was not certified, is decided by ``equals``.  The image is moved
+    once, by m's integer form (``Cell.moved``).
 
-    The same images decide the signature line.  Equal exact keys are equal
-    values, so when the keys of the images' vertices are the keys of qq's
+    The same image decides the signature line.  Equal exact keys are equal
+    values, so when the keys of the image's vertices are the keys of qq's
     vertices, qq's vertex values are m's image of pp's, as sets.  m is
     rigid, so the squared distances between distinct vertices, which the
     reference signature lists after deduplicating vertices by value, are
@@ -819,19 +818,16 @@ def verify_decomposition(
             "" if failure is None else f"{failure[0]} at {failure[1]!r}",
         )
     for i, (pp, qq, m) in enumerate(zip(d.pieces_p, d.pieces_q, d.motions), start=1):
-        cycles_p, cycles_q = plane_cycles(pp), plane_cycles(qq)
-        images = None
-        if cycles_p is not None and cycles_q is not None:
-            images = [[m.apply_vec(v) for v in c] for c in cycles_p]
+        image = m.apply_polytope(pp)
         ok = certified and boundary_cancels(
-            [(1, c) for c in images] + [(-1, c) for c in cycles_q]
+            [(1, c) for c in image.cells] + [(-1, c) for c in qq.cells]
         )
         if not ok:
-            ok = equals(m.apply_polytope(pp), qq)
+            ok = equals(image, qq)
         report.add(f"motion {i} carries piece {i} exactly", ok)
-        sig_ok = (
-            images is not None and _vertex_keys(images) == _vertex_keys(cycles_q)
-        ) or _signatures_match(_congruence_signature(pp), _congruence_signature(qq))
+        keys = _vertex_keys(image)
+        sig_ok = keys is not None and keys == _vertex_keys(qq)
+        sig_ok = sig_ok or _signatures_match(_congruence_signature(pp), _congruence_signature(qq))
         report.add(f"piece pair {i} congruence signature", sig_ok)
     return report
 

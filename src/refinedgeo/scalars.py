@@ -327,8 +327,9 @@ class QuadExt:
     (sqrt2*sqrt3 - sqrt6), which its sign shows.  Instances are immutable
     and deliberately unhashable: distinct encodings can denote the same
     value, so no hash can agree with ``==``.  Code that groups scalars scans
-    lists with exact equality, or keys by encoding where a value split over
-    two keys is harmless (``algebra.boundary_cancels``).
+    lists with exact equality, or keys integer encodings where a value split
+    over two keys is harmless (the point and line keys of
+    ``cells.Cell.keyed_boundary``).
     """
 
     __slots__ = ("terms", "den", "_sgn")

@@ -9,6 +9,7 @@ import pytest
 from conftest import deadline
 
 from refinedgeo import algebra
+from refinedgeo import cells as cells_module
 from refinedgeo.algebra import (
     ConventionalPolytope,
     RefinedPolytope,
@@ -28,6 +29,7 @@ from refinedgeo.algebra import (
     rank_drop_check,
     union,
 )
+from refinedgeo.angles import full_resolution, wedge_ccw
 from refinedgeo.cells import Cell, ClosedPiece
 from refinedgeo.equidecomp import polygon_lift
 from refinedgeo.errors import GeometryError
@@ -559,11 +561,19 @@ def test_boundary_certificate_matches_difference_path():
     assert 10 <= certified < 35
 
 
+def _exact_key(x):
+    """A dict key for an exact value: a Fraction itself, a QuadExt its
+    encoding (den, sorted terms).  Equal keys are equal values."""
+    return x if isinstance(x, Fraction) else (x.den, tuple(sorted(x.terms.items())))
+
+
 def _plain_cancels(signed_cycles) -> bool:
-    """boundary_cancels without cancelling whole cycles: every edge of every
-    cycle adds its weight at its start and subtracts it at its end, keyed by
-    exact supporting line and position on it."""
-    key = algebra._exact_key
+    """The bounded reference for boundary_cancels, in scalars and without
+    cancelling whole cycles: every edge of every counterclockwise vertex
+    cycle adds its weight at its start and subtracts it at its end, keyed
+    by exact supporting line (slope and intercept, or x when vertical) and
+    position on it."""
+    key = _exact_key
     chain: dict = {}
     for weight, cycle in signed_cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -580,33 +590,35 @@ def _plain_cancels(signed_cycles) -> bool:
     return not any(chain.values())
 
 
-def _crafted_cycles(c: list, unit) -> list:
-    """Signed cycle lists around one counterclockwise cycle c, each with the
-    edge sum's verdict: c twice, a clockwise copy, a dart and another cycle
-    on the dart's vertices, a triangle traversed twice."""
-    turned = c[1:] + c[:1]
-    cw = c[::-1]
-    a, b, d, e = (c[0] + Vec(unit * x, unit * y) for x, y in ((0, 0), (2, 1), (4, 0), (2, 4)))
-    dart, reordered = [a, b, d, e], [a, d, b, e]
-    t = c[:3]
+def _crafted_cells(c: Cell, unit) -> list:
+    """Weighted cell lists around one bounded cell c, each with the edge
+    sum's verdict: c twice, c against a copy whose cycle starts elsewhere,
+    c against its two halves, and a convex quadrilateral cut along either
+    diagonal."""
+    turned = Cell(c.carrier, c.constraints[::-1])
+    h1, h2 = (half.cells[0] for half in _halves(RefinedPolytope(2, [c])))
+    a, b, d, e = (c.witness().position + Vec(unit * x, unit * y) for x, y in ((0, 0), (4, 0), (5, 3), (1, 4)))
+    quad = polygon_lift([a, b, d, e]).cells[0]
+    t1, t2, t3, t4 = (polygon_lift(t).cells[0] for t in ([a, b, d], [a, d, e], [a, b, e], [b, d, e]))
     return [
         ([(1, c), (1, c)], False),
         ([(1, c), (1, turned), (-2, c)], True),
         ([(1, c), (-1, turned)], True),
-        ([(1, c), (1, cw)], True),
-        ([(1, c), (-1, cw)], False),
-        ([(1, dart), (-1, reordered)], False),
-        ([(1, dart), (-1, dart[2:] + dart[:2])], True),
-        ([(1, t + t), (-1, t)], False),
-        ([(1, t + t), (-2, t)], True),
-        ([(1, t + t), (-1, t), (-1, t)], True),
+        ([(1, h1), (1, h2), (-1, c)], True),
+        ([(1, h1), (-1, c)], False),
+        ([(1, h1), (-1, h2)], False),
+        ([(1, t1), (1, t2), (-1, t3), (-1, t4)], True),
+        ([(1, t1), (1, t2), (-1, quad)], True),
+        ([(1, t1), (1, t2), (-1, t3)], False),
+        ([(1, t1), (1, t3), (-1, quad)], False),
     ]
 
 
 def test_boundary_cancels_matches_edge_sum():
-    """boundary_cancels, which cancels whole cycles first, against the plain
-    edge sum: true and tampered partitions, the whole's own cells as parts,
-    and crafted cycle lists, over rational, sqrt2/sqrt3 and nested
+    """boundary_cancels, which cancels whole cells first and keys each
+    cell's integer cycle, against the plain edge sum over scalar vertex
+    cycles: true and tampered partitions, the whole's own cells as parts,
+    and crafted cell lists, over rational, sqrt2/sqrt3 and nested
     sqrt(2+sqrt2) coordinates."""
     rng = random.Random(5011)
     sqrt2 = adjoin_sqrt(2)
@@ -616,22 +628,180 @@ def test_boundary_cancels_matches_edge_sum():
         unit = units[trial % len(units)]
         build = _random_grid if trial % 2 == 0 else _random_fan
         parts, whole = build(rng, unit)
-        whole_cycles = algebra.plane_cycles(whole)
         tampered = _tamper(rng, parts, unit, _KINDS[trial % len(_KINDS)])
         cases = [
-            ([(1, c) for part in trial_parts for c in algebra.plane_cycles(part)]
-             + [(-1, c) for c in whole_cycles], None)
+            ([(1, c) for part in trial_parts for c in part.cells]
+             + [(-1, c) for c in whole.cells], None)
             for trial_parts in (parts, tampered)
         ]
-        cases.append(([(1, c) for c in whole_cycles] + [(-1, c) for c in whole_cycles], True))
-        cycle = algebra.plane_cycles(parts[rng.randrange(len(parts))])[0]
-        cases += _crafted_cycles(cycle, unit)
-        for signed, want in cases:
-            plain = _plain_cancels(signed)
-            assert want is None or plain == want, (trial, signed)
-            assert algebra.boundary_cancels(signed) == plain, (trial, signed)
+        cases.append(([(1, c) for c in whole.cells] + [(-1, c) for c in whole.cells], True))
+        cases += _crafted_cells(parts[rng.randrange(len(parts))].cells[0], unit)
+        for weighted, want in cases:
+            plain = _plain_cancels([(w, c.closure().vertex_positions()) for w, c in weighted])
+            assert want is None or plain == want, (trial, weighted)
+            assert algebra.boundary_cancels(weighted) == plain, (trial, weighted)
             verdicts.add(plain)
     assert verdicts == {True, False}
+
+
+# -- the certificate on unbounded input ----------------------------------------------
+
+# Sixteen directions in counterclockwise order; i + 8 is opposite to i.
+_RING = [
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
+]
+
+
+def _directions(rng: random.Random, unit, gap: int) -> list[Vec]:
+    """Ring directions in counterclockwise order, consecutive ones (the
+    last to the first included) at most ``gap`` steps apart, x scaled by
+    unit: a positive scaling keeps the order."""
+    while True:
+        picks = sorted(rng.sample(range(16), rng.randint(3, 5)))
+        if all((b - a) % 16 <= gap for a, b in zip(picks, picks[1:] + picks[:1])):
+            return [Vec(unit * _RING[i][0], _RING[i][1]) for i in picks]
+
+
+def _left_of(c: Vec, d: Vec) -> AffineFunctional:
+    """Positive left of the line through c in direction d."""
+    return AffineFunctional(Vec(-d[1], d[0]), d[1] * c[0] - d[0] * c[1])
+
+
+def _cone_fan(rng: random.Random, unit):
+    """Cones about a random centre between consecutive rays, each under
+    180 degrees; the whole is the plane."""
+    c = Vec(unit * Fraction(rng.randint(-6, 6), 5), Fraction(rng.randint(-6, 6), 7))
+    dirs = _directions(rng, unit, 7)
+    parts = [
+        RefinedPolytope(2, [Cell(PLANE, [_left_of(c, d), -_left_of(c, e)])])
+        for d, e in zip(dirs, dirs[1:] + dirs[:1])
+    ]
+    return parts, RefinedPolytope(2, [Cell(PLANE)])
+
+
+def _arrangement(rng: random.Random, unit):
+    """The faces of two or three random lines, clipped one line at a time,
+    within the plane or within a half-plane."""
+    def line() -> AffineFunctional:
+        c = Vec(unit * Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 5))
+        x, y = rng.choice(_RING)
+        return _left_of(c, Vec(unit * x, y))
+
+    start = Cell(PLANE, [line()] if rng.random() < 0.5 else [])
+    faces = [start]
+    for _ in range(rng.randint(2, 3)):
+        eta = line()
+        faces = [f for g in faces for f in (g.with_extra([eta]), g.with_extra([-eta])) if not f.is_empty()]
+    return [RefinedPolytope(2, [f]) for f in faces], RefinedPolytope(2, [start])
+
+
+def _angle_partition(rng: random.Random, unit):
+    """Angles at the origin that fill the plane: consecutive convex wedges,
+    or one wedge and its reflex complement (cells of a difference), or two
+    straight angles."""
+    dirs = _directions(rng, unit, 7)
+    kind = rng.randrange(3)
+    if kind == 0:
+        angles = [wedge_ccw(d, e) for d, e in zip(dirs, dirs[1:] + dirs[:1])]
+    elif kind == 1:
+        angles = [wedge_ccw(dirs[0], dirs[1]), wedge_ccw(dirs[1], dirs[0])]
+    else:
+        angles = [wedge_ccw(dirs[0], -dirs[0]), wedge_ccw(-dirs[0], dirs[0])]
+    return [a.poly for a in angles], full_resolution(2).poly
+
+
+def _overlapping_whole(rng: random.Random, unit):
+    """Two overlapping half-planes as the whole's cells, cut into the first
+    and the rest of the second: a true partition of a whole whose cells
+    overlap, which the certificate must decline."""
+    while True:
+        eta, zeta = (
+            _left_of(Vec(unit * rng.randint(-2, 2), rng.randint(-2, 2)), Vec(unit * x, y))
+            for x, y in rng.sample(_RING, 2)
+        )
+        first, second = RefinedPolytope(2, [Cell(PLANE, [eta])]), RefinedPolytope(2, [Cell(PLANE, [zeta])])
+        if not is_empty(intersect(first, second)):
+            break
+    whole = RefinedPolytope(2, list(first.cells) + list(second.cells))
+    return [first, difference(second, first)], whole
+
+
+def _unbounded_tamper(rng: random.Random, parts: list, unit, kind: str) -> list:
+    out = list(parts)
+    k = rng.randrange(len(out))
+    if kind == "shift":
+        out[k] = out[k].translated(Vec(unit / 5, Fraction(1, 7)))
+    elif kind == "duplicate":
+        out.insert(rng.randrange(len(out) + 1), out[k])
+    elif kind == "drop":
+        del out[k]
+    elif kind == "merge":
+        k = min(k, len(out) - 2)
+        out[k : k + 2] = [union(out[k], out[k + 1])]
+    elif kind == "plane":  # all of it once more
+        out.insert(k, RefinedPolytope(2, [Cell(PLANE)]))
+    return out
+
+
+_UNBOUNDED = [_cone_fan, _arrangement, _angle_partition, _overlapping_whole]
+_UNBOUNDED_KINDS = ["none", "drop", "duplicate", "shift", "merge", "plane"]
+
+
+def _tower_units() -> list:
+    sqrt2 = adjoin_sqrt(2)
+    return [Fraction(1), Fraction(2, 3), sqrt2, adjoin_sqrt(2 + sqrt2)]
+
+
+def test_certificate_matches_witness_path_on_unbounded_input():
+    """partition_failure, which tries the certificate first, against the
+    clipping checks alone (``_partition_witness``) on unbounded input:
+    fans of cones, line arrangements, angle partitions and a whole with
+    overlapping cells, each dropped, duplicated, shifted, merged, or with
+    the whole plane as one more part, and the whole's own cells as parts,
+    over rational, sqrt2 and sqrt(2+sqrt2) coordinates.  Reasons and
+    witnesses agree, and every true partition whose whole has disjoint
+    cells is certified."""
+    rng = random.Random(7717)
+    units = _tower_units()
+    decided = {True: 0, False: 0}
+    for trial in range(24):
+        unit = units[trial % len(units)]
+        parts, whole = _UNBOUNDED[trial % len(_UNBOUNDED)](rng, unit)
+        cells = [RefinedPolytope(2, [c]) for c in whole.cells]
+        apart = all(disjoint(a, b) for i, a in enumerate(cells) for b in cells[i + 1 :])
+        cases = [(kind, _unbounded_tamper(rng, parts, unit, kind)) for kind in _UNBOUNDED_KINDS]
+        for kind, trial_parts in cases + [("whole cells", cells)]:
+            want = algebra._partition_witness(trial_parts, whole)
+            got = partition_failure(trial_parts, whole)
+            assert got == want, (trial, kind, got, want)
+            if want is None and apart:
+                assert partition_certified(trial_parts, whole), (trial, kind)
+            decided[want is None] += 1
+    assert decided[True] >= 30 and decided[False] >= 40, decided
+
+
+def test_cell_cycles_repeat_no_vertex_key():
+    """Every cycle that clipping, polygon cells and motions produce has
+    distinct vertex keys: grid and fan cells, the cells of their
+    differences, and unbounded cones and faces, over rational and tower
+    coordinates."""
+    rng = random.Random(4409)
+    units = _tower_units()
+    cycles = 0
+    for trial in range(16):
+        unit = units[trial % len(units)]
+        polys = []
+        for build in (_random_grid, _random_fan, _cone_fan, _arrangement):
+            parts, whole = build(rng, unit)
+            polys += parts + [whole, difference(whole, union(parts[0], parts[-1]))]
+        polys.append(polys[0].translated(Vec(unit / 3, Fraction(1, 5))))
+        for cell in (c for p in polys for c in p.cells):
+            keys = cell.keyed_boundary()[0]
+            assert keys == tuple(cells_module._point_key(v) for v in cell._edges()[1])
+            assert len(set(keys)) == len(keys), (trial, cell)
+            cycles += 1
+    assert cycles > 300
 
 
 def test_rotated_square_in_nested_tower_finishes():

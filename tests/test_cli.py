@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from refinedgeo import algebra
 from refinedgeo.cli import main
 from refinedgeo.scenario import bundled_scenarios
 
@@ -13,6 +14,23 @@ class TestCheck:
         assert main(["check", "quad_diagonals"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_i32_angle_partitions_need_no_clipping(self, monkeypatch, capsys):
+        """Euclid I.32's exterior angle: its three angle partitions have
+        unbounded wholes, and the boundary certificate decides all three, so
+        the clipping checks never run."""
+        calls = []
+        witness = algebra._partition_witness
+
+        def counted(parts, whole):
+            calls.append(whole)
+            return witness(parts, whole)
+
+        monkeypatch.setattr(algebra, "_partition_witness", counted)
+        assert main(["check", "i32"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == out.count("\n") and out.count("angle_partition") == 3
+        assert not calls
 
     def test_scenario_by_path(self):
         path = bundled_scenarios()["ii1"]

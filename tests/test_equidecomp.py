@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from refinedgeo import algebra, equidecomp
-from refinedgeo.algebra import RefinedPolytope, _exact_key, equals, partition_check, plane_cycles
+from refinedgeo.algebra import RefinedPolytope, equals, partition_check
 from refinedgeo.cells import Cell
 from refinedgeo.cli import write_decomposition
 from refinedgeo.equidecomp import (
@@ -551,7 +551,7 @@ def test_signature_shortcut_matches_reference(monkeypatch):
     is re-split in two, with motions off by a 1/1000 shift, and with every
     piece matched to the next target piece.  The reference runs exactly for
     the pairs whose moved source vertices and target vertices differ as
-    sets of exact keys."""
+    sets of exact keys (the cells' point keys)."""
     calls = []
     reference = equidecomp._congruence_signature
 
@@ -559,8 +559,8 @@ def test_signature_shortcut_matches_reference(monkeypatch):
         calls.append(1)
         return reference(piece)
 
-    def keys(cycles):
-        return {(_exact_key(v[0]), _exact_key(v[1])) for c in cycles for v in c}
+    def keys(piece):
+        return {k for cell in piece.cells for k in cell.keyed_boundary()[1]}
 
     monkeypatch.setattr(equidecomp, "_congruence_signature", counted)
     off = Motion.translation_by(Vec(F(1, 1000), 0))
@@ -568,7 +568,7 @@ def test_signature_shortcut_matches_reference(monkeypatch):
         d = equidecompose(p, q, check=False)
         lift_p, lift_q = polygon_lift(p), polygon_lift(q)
         split = [_resplit(d.pieces_q[0])] + d.pieces_q[1:]
-        assert len(keys(plane_cycles(split[0]))) > len(keys(plane_cycles(d.pieces_q[0])))
+        assert len(keys(split[0])) > len(keys(d.pieces_q[0]))
         cases = {
             "own": (d.pieces_q, d.motions),
             "split": (split, d.motions),
@@ -588,8 +588,7 @@ def test_signature_shortcut_matches_reference(monkeypatch):
             ]
             assert got == want, case
             differ = sum(
-                keys([[m.apply_vec(v) for v in c] for c in plane_cycles(pp)])
-                != keys(plane_cycles(qq))
+                keys(m.apply_polytope(pp)) != keys(qq)
                 for pp, qq, m in zip(d.pieces_p, pieces_q, motions)
             )
             assert len(calls) == 2 * differ, case
