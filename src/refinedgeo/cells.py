@@ -406,18 +406,22 @@ class Cell:
         return cls(carrier, kept)
 
     @classmethod
-    def convex_polygon(cls, plane: Carrier, pts: Sequence[Vec]) -> "Cell":
+    def convex_polygon(cls, plane: Carrier, pts: Sequence[tuple]) -> "Cell":
         """The cell of a counterclockwise, strictly convex vertex cycle on the
-        full plane carrier, which the caller checks.  Its edge cycle is given:
-        edge i runs from pts[i] to pts[i + 1], vertex i is pts[i] over the
-        lcm of its denominators, and the row of edge i is the cross product
-        of vertices i and i + 1, a positive multiple of the line through
-        them with the inside positive."""
+        full plane carrier, which the caller checks.  Each vertex comes
+        encoded as (x, y, d), integer tower dicts over a positive int, such
+        as one denominator shared by a whole polygon.  Its edge cycle is
+        given: edge i runs from vertex i to vertex i + 1, vertex i is
+        (x, y, d) in lowest terms, which is the point's own encoding over the
+        lcm of its coordinates' denominators whatever d it came over, and the
+        row of edge i is the cross product of vertices i and i + 1, a
+        positive multiple of the line through them with the inside
+        positive."""
         n = len(pts)
         verts = []
-        for p in pts:
-            (x, y), w = _encode(p)
-            verts.append((x, y, {0: w}))
+        for x, y, d in pts:
+            (x, y), d = _reduced([x, y], d)
+            verts.append((x, y, {0: d}))
         cons = [
             AffineFunctional.from_row(list(_cross(v, u)), v[2][0] * u[2][0])
             for v, u in zip(verts, verts[1:] + verts[:1])

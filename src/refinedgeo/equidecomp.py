@@ -39,9 +39,14 @@ from .linalg import Carrier, Vec, cross2
 from .resolution import Flag, RefinedPoint
 from .scalars import (
     Scalar,
+    _add,
     _encode,
+    _mul,
     _reduced,
+    _scalar,
     _scale,
+    _sign,
+    _sub,
     adjoin_sqrt,
     ceil_scalar,
     floor_scalar,
@@ -201,6 +206,13 @@ class Motion:
 
 
 # -- polygons --------------------------------------------------------------------
+#
+# A polygon is encoded once: ``_encoded`` turns all its coordinates into
+# integer tower dicts over one positive denominator D, and every test below
+# is the exact sign of an integer polynomial in them.  Each test is
+# homogeneous in the coordinates, so D > 0 leaves its sign as it is on the
+# scalars.  A vertex is an index into the encoded points, so the caller's
+# ``Vec``s come back unchanged.
 
 
 def _as_vecs(vertices: Sequence) -> list[Vec]:
@@ -213,23 +225,75 @@ def _as_vecs(vertices: Sequence) -> list[Vec]:
     return out
 
 
+def _encoded(vertices: Sequence) -> tuple[list[Vec], list[tuple[dict, dict]], int]:
+    """A polygon's vertices as ``Vec``s, and their points (x, y) as integer
+    tower dicts over one positive denominator."""
+    vecs = _as_vecs(vertices)
+    if len(vecs) < 3:
+        raise GeometryError("a polygon needs at least 3 vertices")
+    ints, den = _encode([c for v in vecs for c in v.coords])
+    return vecs, list(zip(ints[::2], ints[1::2])), den
+
+
+def _diff(p, q) -> tuple[dict, dict]:
+    """q - p."""
+    return _sub(q[0], p[0]), _sub(q[1], p[1])
+
+
+def _det(u, v) -> dict:
+    return _sub(_mul(u[0], v[1]), _mul(u[1], v[0]))
+
+
+def _dot(u, v) -> dict:
+    return _add(_mul(u[0], v[0]), _mul(u[1], v[1]))
+
+
+def _orient(p, q, r) -> int:
+    """Sign of cross2(q - p, r - p): 1 when p, q, r turn left."""
+    return _sign(_det(_diff(p, q), _diff(p, r)))
+
+
+def _edges(pts: list) -> list[tuple[dict, dict]]:
+    """Edge i runs from point i to point i + 1."""
+    return [_diff(p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
+
+
+def _turns(edges: list) -> list[int]:
+    """The sign of each vertex's turn, from its incoming and outgoing edge."""
+    return [_sign(_det(edges[i - 1], e)) for i, e in enumerate(edges)]
+
+
+def _twice_area(pts: list, order: list[int]) -> dict:
+    """Twice the signed area of the cycle, over D^2 (the shoelace sum)."""
+    twice: dict = {}
+    for i, j in zip(order, order[1:] + order[:1]):
+        twice = _add(twice, _det(pts[i], pts[j]))
+    return twice
+
+
 def shoelace_area(vertices: Sequence[Vec]) -> Scalar:
     """Signed area of a vertex cycle (positive when counterclockwise)."""
     return _shoelace(_as_vecs(vertices))
 
 
-def _strictly_convex(pts: Sequence[Vec]) -> bool:
-    """Is a counterclockwise cycle strictly convex, hence simple?  Every
-    turn must be strictly left, and the edge directions must wind exactly
-    once: one step passes from the lower half-plane of directions
-    [pi, 2pi) into the upper one [0, pi).  A star's left turns wind more."""
-    n = len(pts)
-    edges = [pts[(i + 1) % n] - pts[i] for i in range(n)]
-    for i in range(n):
-        if sign(cross2(edges[i - 1], edges[i])) <= 0:
-            return False
-    upper = [sign(e[1]) > 0 or (sign(e[1]) == 0 and sign(e[0]) > 0) for e in edges]
-    return sum(upper[i] and not upper[i - 1] for i in range(n)) == 1
+def _strictly_convex(turns: list[int], edges: list, s: int) -> bool:
+    """Is a cycle with these turn signs and edge vectors, whose area has the
+    sign s, strictly convex, hence simple?  Every turn must have the sign
+    s != 0, and the edge directions must wind exactly once: one step passes
+    from the lower half-plane of directions [pi, 2pi) into the upper one
+    [0, pi).  A star's turns all agree, but its edges wind more.  Reversing
+    a cycle reverses and negates its edges, which maps each such step to
+    one, so the count is that of the counterclockwise cycle."""
+    if not s or any(t != s for t in turns):
+        return False
+    upper = [_sign(y) > 0 or (not _sign(y) and _sign(x) > 0) for x, y in edges]
+    return sum(u and not upper[i - 1] for i, u in enumerate(upper)) == 1
+
+
+def _cell(pts: list, den: int, order) -> Cell:
+    """The cell of encoded points visited in ``order``, a counterclockwise,
+    strictly convex cycle."""
+    return Cell.convex_polygon(PLANE, [(*pts[i], den) for i in order])
 
 
 def convex_polygon_cell(vertices: Sequence[Vec]) -> Cell:
@@ -237,121 +301,115 @@ def convex_polygon_cell(vertices: Sequence[Vec]) -> Cell:
 
     The cycle is normalized to counterclockwise; strictly convex turns that
     go around once are required (no repeated or collinear vertices, no
-    star).  The cell's edge cycle is read from the vertices, with no solve."""
-    pts = _as_vecs(vertices)
-    if len(pts) < 3:
-        raise GeometryError("a polygon needs at least 3 vertices")
-    if sign(shoelace_area(pts)) < 0:
-        pts = list(reversed(pts))
-    if not _strictly_convex(pts):
+    star).  The vertices are encoded once, the convexity test runs on that
+    encoding, and the cell's edge cycle is read from it, with no solve."""
+    _, pts, den = _encoded(vertices)
+    order = list(range(len(pts)))
+    edges = _edges(pts)
+    s = _sign(_twice_area(pts, order))
+    if not _strictly_convex(_turns(edges), edges, s):
         raise GeometryError("vertices must make strictly convex turns around once")
-    return Cell.convex_polygon(PLANE, pts)
+    return _cell(pts, den, order if s > 0 else order[::-1])
 
 
 def convex_polygon_lift(vertices: Sequence[Vec]) -> RefinedPolytope:
     return RefinedPolytope(2, [convex_polygon_cell(vertices)])
 
 
-def _segments_conflict(a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
-    """Do closed segments ab and cd share any point?  Exact."""
-    d1 = sign(cross2(b - a, c - a))
-    d2 = sign(cross2(b - a, d - a))
-    d3 = sign(cross2(d - c, a - c))
-    d4 = sign(cross2(d - c, b - c))
+def _segments_conflict(a, b, c, d) -> bool:
+    """Do closed segments ab and cd of encoded points share any point?"""
+    d1, d2 = _orient(a, b, c), _orient(a, b, d)
+    d3, d4 = _orient(c, d, a), _orient(c, d, b)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
 
-    def on_segment(p: Vec, q: Vec, w: Vec) -> bool:
-        if sign(cross2(q - p, w - p)) != 0:
-            return False
-        t = (w - p).dot(q - p)
-        return sign(t) >= 0 and sign((q - p).dot(q - p) - t) >= 0
+    def on_segment(p, q, w, side: int) -> bool:
+        # w on the line pq, and neither beyond q seen from p nor beyond p from q.
+        return (
+            not side
+            and _sign(_dot(_diff(p, w), _diff(p, q))) >= 0
+            and _sign(_dot(_diff(q, w), _diff(q, p))) >= 0
+        )
 
     return (
-        on_segment(a, b, c)
-        or on_segment(a, b, d)
-        or on_segment(c, d, a)
-        or on_segment(c, d, b)
+        on_segment(a, b, c, d1)
+        or on_segment(a, b, d, d2)
+        or on_segment(c, d, a, d3)
+        or on_segment(c, d, b, d4)
     )
 
 
-def _clean_cycle(vertices: Sequence[Vec]) -> list[Vec]:
-    """Normalize a simple-polygon cycle: drop exactly-straight vertices,
-    reject repeats and spikes, orient counterclockwise, check simplicity
-    (a strictly convex cycle is simple without the pairwise edge scan)."""
-    pts = _as_vecs(vertices)
-    if len(pts) < 3:
-        raise GeometryError("a polygon needs at least 3 vertices")
-    for i, p in enumerate(pts):
-        if p == pts[(i + 1) % len(pts)]:
-            raise GeometryError("repeated consecutive vertex")
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            turn = sign(cross2(b - a, c - b))
-            if turn == 0:
-                if sign((b - a).dot(c - b)) < 0:
-                    raise GeometryError("polygon has a spike (zero-angle vertex)")
-                pts.pop(i)  # straight vertex carries no shape
-                changed = True
-                break
-    if len(pts) < 3 or sign(shoelace_area(pts)) == 0:
-        raise GeometryError("degenerate polygon (zero area)")
-    if sign(shoelace_area(pts)) < 0:
-        pts = list(reversed(pts))
-    if _strictly_convex(pts):
-        return pts
+def _clean_cycle(pts: list) -> tuple[list[int], bool, dict]:
+    """Normalize a simple-polygon cycle of encoded points: drop exactly
+    straight vertices, reject repeats and spikes, orient counterclockwise,
+    check simplicity (a strictly convex cycle is simple without the pairwise
+    edge scan).  Returns the kept indices counterclockwise, whether they are
+    strictly convex, and twice their area over D^2."""
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share only their endpoint
-            if _segments_conflict(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
-                raise GeometryError("polygon is not simple (edges cross)")
-    return pts
+    edges = _edges(pts)
+    if any(not (_sign(x) or _sign(y)) for x, y in edges):
+        raise GeometryError("repeated consecutive vertex")
+    turns = _turns(edges)
+    # A straight vertex lies strictly inside the segment between its
+    # neighbours, so dropping it leaves every other vertex's turn, spike and
+    # edge direction as they were.  One pass in order therefore drops the
+    # same vertices and meets the same first spike as passes that restart.
+    kept = []
+    left = n
+    for i, t in enumerate(turns):
+        if t:
+            kept.append(i)
+        elif _sign(_dot(edges[i - 1], edges[i])) < 0:
+            raise GeometryError("polygon has a spike (zero-angle vertex)")
+        else:
+            left -= 1
+            if left < 3:
+                raise GeometryError("degenerate polygon (zero area)")
+    twice = _twice_area(pts, kept)
+    s = _sign(twice)
+    if not s:
+        raise GeometryError("degenerate polygon (zero area)")
+    convex = _strictly_convex([turns[i] for i in kept], [edges[i] for i in kept], s)
+    if not convex:
+        m = len(kept)
+        segs = [(pts[kept[i]], pts[kept[(i + 1) % m]]) for i in range(m)]
+        for i in range(m):
+            for j in range(i + 2, m - (i == 0)):  # adjacent edges share only their endpoint
+                if _segments_conflict(*segs[i], *segs[j]):
+                    raise GeometryError("polygon is not simple (edges cross)")
+    if s < 0:
+        kept.reverse()
+        twice = _scale(twice, -1)
+    return kept, convex, twice
 
 
-def triangulate_cycle(vertices: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
-    """Deterministic exact ear clipping of a simple polygon, CCW triples."""
-    return _ears(_clean_cycle(vertices))
+def _ears(pts: list, poly: list[int]) -> list[tuple[int, int, int]]:
+    """Deterministic exact ear clipping of a cycle ``_clean_cycle`` returned,
+    as counterclockwise index triples; consumes ``poly``."""
+    def orient(i: int, j: int, k: int) -> int:
+        return _orient(pts[i], pts[j], pts[k])
 
-
-def _ears(poly: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
-    """``triangulate_cycle`` of a cycle ``_clean_cycle`` returned; consumes it."""
-    tris: list[tuple[Vec, Vec, Vec]] = []
+    tris: list[tuple[int, int, int]] = []
     while len(poly) > 3:
         n = len(poly)
-        clipped = False
         for i in range(n):
             a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
-            if sign(cross2(b - a, c - b)) <= 0:
+            if orient(a, b, c) <= 0:
                 continue  # reflex or straight corner
-            blocked = False
-            for w in poly:
-                if w is a or w is b or w is c:
-                    continue
-                if (
-                    sign(cross2(b - a, w - a)) >= 0
-                    and sign(cross2(c - b, w - b)) >= 0
-                    and sign(cross2(a - c, w - c)) >= 0
-                ):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            tris.append((a, b, c))
-            poly.pop(i)
-            clipped = True
-            break
-        if not clipped:
+            if not any(
+                orient(a, b, w) >= 0 and orient(b, c, w) >= 0 and orient(c, a, w) >= 0
+                for w in poly
+                if w != a and w != b and w != c
+            ):
+                tris.append((a, b, c))
+                poly.pop(i)
+                break
+        else:
             raise GeometryError("ear clipping failed; polygon is not simple")
         # Removal can straighten a neighbor; drop such vertices.
         k = 0
         while k < len(poly) and len(poly) > 3:
-            a, b, c = poly[k - 1], poly[k], poly[(k + 1) % len(poly)]
-            if sign(cross2(b - a, c - b)) == 0:
+            if orient(poly[k - 1], poly[k], poly[(k + 1) % len(poly)]) == 0:
                 poly.pop(k)
                 k = 0
             else:
@@ -360,18 +418,27 @@ def _ears(poly: list[Vec]) -> list[tuple[Vec, Vec, Vec]]:
     return tris
 
 
+def triangulate_cycle(vertices: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
+    """Deterministic exact ear clipping of a simple polygon: counterclockwise
+    triples of the caller's vertices, decided on their one encoding."""
+    vecs, pts, _ = _encoded(vertices)
+    return [(vecs[a], vecs[b], vecs[c]) for a, b, c in _ears(pts, _clean_cycle(pts)[0])]
+
+
 def polygon_lift(vertices: Sequence[Vec]) -> RefinedPolytope:
     """Lift of a simple polygon: one cell when it is strictly convex, else
-    the seamless union of its ear triangles."""
-    poly = _clean_cycle(vertices)
-    if _strictly_convex(poly):
-        return RefinedPolytope(2, [Cell.convex_polygon(PLANE, poly)])
-    return RefinedPolytope(2, [convex_polygon_cell(t) for t in _ears(poly)])
+    the seamless union of its ear triangles.  The vertices are encoded once;
+    every check and every cell is read from that encoding."""
+    _, pts, den = _encoded(vertices)
+    order, convex, _ = _clean_cycle(pts)
+    parts = [order] if convex else _ears(pts, order)
+    return RefinedPolytope(2, [_cell(pts, den, t) for t in parts])
 
 
 def triangulate(vertices: Sequence[Vec]) -> list[RefinedPolytope]:
     """Pairwise-disjoint refined triangles whose union lifts the polygon."""
-    return [convex_polygon_lift(t) for t in triangulate_cycle(vertices)]
+    _, pts, den = _encoded(vertices)
+    return [RefinedPolytope(2, [_cell(pts, den, t)]) for t in _ears(pts, _clean_cycle(pts)[0])]
 
 
 def _tri_area(t: Sequence[Vec]) -> Scalar:
@@ -844,19 +911,23 @@ def equidecompose(
     first read.  ``check=True`` reads it for cut polygons and raises
     GeometryError when an entry failed; ``check=False`` leaves it unread,
     for the caller to read or to replace by a verification of its own."""
-    p_cycle = _clean_cycle(_as_vecs(p_vertices))
-    q_cycle = _clean_cycle(_as_vecs(q_vertices))
-    area_p = shoelace_area(p_cycle)
-    area_q = shoelace_area(q_cycle)
-    if sign(area_p - area_q) != 0:
+    vecs_p, pts_p, den_p = _encoded(p_vertices)
+    order_p, _, twice_p = _clean_cycle(pts_p)
+    vecs_q, pts_q, den_q = _encoded(q_vertices)
+    order_q, _, twice_q = _clean_cycle(pts_q)
+    # The areas are twice_p / (2 den_p^2) and twice_q / (2 den_q^2).
+    if _sign(_sub(_scale(twice_p, den_q * den_q), _scale(twice_q, den_p * den_p))):
+        area_p = _scalar(twice_p, 2 * den_p * den_p)
+        area_q = _scalar(twice_q, 2 * den_q * den_q)
         raise GeometryError(
             f"areas differ: {scalar_str(area_p)} vs {scalar_str(area_q)}"
         )
     log: list[str] = []
-    tris_p = _ears(p_cycle)
-    tris_q = _ears(q_cycle)
-    lift_p = RefinedPolytope(2, [convex_polygon_cell(t) for t in tris_p])
-    lift_q = RefinedPolytope(2, [convex_polygon_cell(t) for t in tris_q])
+    ears_p, ears_q = _ears(pts_p, order_p), _ears(pts_q, order_q)
+    lift_p = RefinedPolytope(2, [_cell(pts_p, den_p, t) for t in ears_p])
+    lift_q = RefinedPolytope(2, [_cell(pts_q, den_q, t) for t in ears_q])
+    tris_p = [(vecs_p[a], vecs_p[b], vecs_p[c]) for a, b, c in ears_p]
+    tris_q = [(vecs_q[a], vecs_q[b], vecs_q[c]) for a, b, c in ears_q]
     if equals(lift_p, lift_q):
         log.append("identical polygons: single piece, identity motion")
         d = Decomposition([lift_p], [lift_q], [Motion.identity()], log)

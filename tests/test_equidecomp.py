@@ -263,14 +263,14 @@ def test_triangulate_deterministic():
 
 
 def test_triangulate_rejects_bad_cycles():
-    with pytest.raises(GeometryError):
-        triangulate_cycle([(0, 0), (2, 2), (2, 0), (0, 2)])  # bowtie
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^degenerate polygon \(zero area\)$"):
+        triangulate_cycle([(0, 0), (2, 2), (2, 0), (0, 2)])  # bowtie: its two halves cancel
+    with pytest.raises(GeometryError, match=r"^polygon has a spike \(zero-angle vertex\)$"):
         triangulate_cycle([(0, 0), (2, 0), (1, 0), (1, 1)])  # spike at (2,0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^repeated consecutive vertex$"):
         triangulate_cycle([(0, 0), (0, 0), (1, 1)])  # repeated vertex
-    with pytest.raises(GeometryError):
-        triangulate_cycle([(0, 0), (1, 0), (2, 0)])  # zero area
+    with pytest.raises(GeometryError, match=r"^polygon has a spike \(zero-angle vertex\)$"):
+        triangulate_cycle([(0, 0), (1, 0), (2, 0)])  # collinear: a spike at (0,0)
 
 
 def test_triangulate_drops_straight_vertices():
