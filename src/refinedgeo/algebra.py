@@ -12,9 +12,9 @@ operations only ever combine constraint lists of same-carrier cells:
 
 Equality and subset are semantic, via difference-emptiness, and the
 closing/lift pair moves between refined polytopes and conventional weak
-ones.  Everything is exact.  Emptiness is decided by ``cells``: plane
-cells clip their parent's edge cycle, others ask ``fm`` about the strict
-system.
+ones.  Everything is exact.  Emptiness is decided by ``cells``: a plane
+cell knows it from its edge cycle, clipped when the cell is made, others
+ask ``fm`` about the strict system.
 
 Partitions of plane figures, bounded or not, are certified by boundary
 cancellation, which clips no part: when the parts' boundary chains minus

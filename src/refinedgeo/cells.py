@@ -8,12 +8,13 @@ infeasibility of the strict interior system, and the closure of a nonempty
 cell is the conventional weak polytope with the same constraints.
 
 Cells on carriers of any dimension but 2 ask ``fm`` about that system.  A
-cell on a 2-dimensional carrier instead keeps its closure as an exact edge
-cycle (see the plane kernel below), from which it reads its emptiness, the
-constraints that carry an edge, boundedness and vertices.  A cell built by
-``with_extra`` clips its parent's cycle, one with no parent clips the whole
-plane's, and a convex polygon's cell is given its cycle by its vertices.
-Plane cells ask ``fm`` only for witnesses.
+cell on a 2-dimensional carrier instead holds its closure as an exact edge
+cycle (see the plane kernel below), or knows it is empty, from the moment
+it is made: ``with_extra`` clips the parent's cycle by the added
+constraints, other constraints clip the whole plane's, and a convex
+polygon's cell is given its cycle by its vertices.  The cycle gives the
+constraints that carry an edge, boundedness and vertices; plane cells ask
+``fm`` only for witnesses.
 
 Constraints are read as integer rows over one positive denominator, the
 form every ``AffineFunctional`` has from birth.  A rigid motion is an
@@ -56,6 +57,18 @@ def complement_halfspace(xi: AffineFunctional) -> AffineFunctional:
     if not xi.is_regular:
         raise GeometryError("complement of a non-regular functional")
     return -xi
+
+
+def _checked(carrier: Carrier, constraints: Iterable[AffineFunctional]) -> tuple:
+    """Constraints from outside as a tuple, once each is known to be a
+    regular functional on the carrier."""
+    cons = tuple(constraints)
+    for xi in cons:
+        if xi.dim != carrier.dim:
+            raise GeometryError("cell constraint dimension mismatch")
+        if not xi.is_regular:
+            raise GeometryError("cell constraint must be regular on its carrier")
+    return cons
 
 
 def _ambient_form(carrier: Carrier, intrinsic: Sequence[AffineFunctional]) -> list[AffineFunctional]:
@@ -142,9 +155,10 @@ def _moved_row(xi: AffineFunctional, form: tuple) -> AffineFunctional:
 # it gets an interior vertex, a split, so that a parallel line, which is 0 at
 # both ends, still sees the edge's inside.  Clipping by one more constraint
 # is Sutherland-Hodgman (CACM 1974) on the vertex signs, and the cell is
-# empty as soon as no vertex is strictly inside.  A constraint whose line
-# carries an existing edge relabels it, so among same-line duplicates the
-# last one labels the edge, the one ``pruned`` has always kept.
+# empty as soon as no vertex is strictly inside; a cell runs its clips when
+# it is made.  A constraint whose line carries an existing edge relabels it,
+# so among same-line duplicates the last one labels the edge, the one
+# ``pruned`` has always kept.
 
 _INF = -1
 _INF_ROW = ({}, {}, {0: 1})
@@ -369,25 +383,29 @@ class ClosedPiece:
 class Cell:
     """Intersection of refined half-spaces inside a carrier."""
 
-    __slots__ = ("carrier", "constraints", "_empty", "_closure", "_cycle", "_parent", "_keys")
+    __slots__ = ("carrier", "constraints", "_empty", "_closure", "_cycle", "_keys")
 
     def __init__(self, carrier: Carrier, constraints: Iterable[AffineFunctional] = ()):
-        cons = tuple(constraints)
-        for xi in cons:
-            if xi.dim != carrier.dim:
-                raise GeometryError("cell constraint dimension mismatch")
-            if not xi.is_regular:
-                raise GeometryError("cell constraint must be regular on its carrier")
-        self.carrier = carrier
-        self.constraints = cons
-        self._empty: Optional[bool] = None
+        self._init(carrier, _checked(carrier, constraints))
+
+    def _init(self, carrier: Carrier, cons: tuple, empty=None, cycle=_FULL_PLANE, start=0) -> "Cell":
+        """The private constructor, ``Cell.__new__(Cell)._init(...)``, from
+        checked constraints; ``empty`` is what is known of the cell's
+        emptiness.  On a 2-dimensional carrier ``cycle`` is the edge cycle of
+        the first ``start`` constraints, None when they are empty, and the
+        rest clip it here."""
+        self.carrier, self.constraints = carrier, cons
         self._closure: Optional[ClosedPiece] = None
-        # Only on 2-dimensional carriers: the closure's edge cycle as
-        # (labels, vertices), vertices None while only labels are known;
-        # and the cell this one extends, until the cycle is computed.
-        self._cycle: Optional[tuple] = None
-        self._parent: Optional[Cell] = None
         self._keys: Optional[tuple] = None  # keyed_boundary's, once asked
+        plane, row_of = carrier.dim == 2, self._row_of
+        while plane and cycle is not None and start < len(cons):
+            cycle = _clip(cycle, start, row_of(start), row_of)
+            start += 1
+        self._empty: Optional[bool] = cycle is None if plane else empty
+        # Only on 2-dimensional carriers: the closure's edge cycle as
+        # (labels, vertices), vertices None while only labels are known.
+        self._cycle: Optional[tuple] = cycle if plane else None
+        return self
 
     @classmethod
     def from_ambient(
@@ -417,19 +435,17 @@ class Cell:
         row of edge i is the cross product of vertices i and i + 1, a
         positive multiple of the line through them with the inside
         positive."""
-        n = len(pts)
-        verts = []
-        for x, y, d in pts:
-            (x, y), d = _reduced([x, y], d)
-            verts.append((x, y, {0: d}))
-        cons = [
-            AffineFunctional.from_row(list(_cross(v, u)), v[2][0] * u[2][0])
-            for v, u in zip(verts, verts[1:] + verts[:1])
-        ]
-        cell = cls(plane, cons)
-        cell._empty = False
-        cell._cycle = (tuple(range(n)), tuple(verts))
-        return cell
+        enc = [_reduced([x, y], d) for x, y, d in pts]
+        cons = tuple(  # _cross of (x, y, d) and (u, v, e), with int W = d, e
+            AffineFunctional.from_row(
+                [_sub(_scale(y, e), _scale(v, d)), _sub(_scale(u, d), _scale(x, e)),
+                 _sub(_mul(x, v), _mul(y, u))],
+                d * e,
+            )
+            for ((x, y), d), ((u, v), e) in zip(enc, enc[1:] + enc[:1])
+        )
+        cycle = (tuple(range(len(enc))), tuple((x, y, {0: d}) for (x, y), d in enc))
+        return cls.__new__(cls)._init(plane, cons, False, cycle, len(cons))
 
     # -- semantics ----------------------------------------------------------
 
@@ -452,36 +468,18 @@ class Cell:
         return [LinIneq.from_functional(xi, strict=True) for xi in self.constraints]
 
     def is_empty(self) -> bool:
-        if self._empty is None:
-            if self.carrier.dim == 2:
-                self._edges()
-            else:
-                self._empty = not feasible(self._strict_system(), self.carrier.dim)
+        if self._empty is None:  # plane cells know it from birth
+            self._empty = not feasible(self._strict_system(), self.carrier.dim)
         return self._empty
 
     def _row_of(self, label: int):
         return _INF_ROW if label == _INF else self.constraints[label].row()[0]
 
     def _edges(self) -> Optional[tuple]:
-        """The closure's edge cycle (2-dimensional carriers only), clipped
-        from the parent's cycle when there is one; None when empty."""
+        """The closure's edge cycle (2-dimensional carriers only), None when
+        empty; a motion's image derives its vertices on first need."""
         cycle = self._cycle
-        if cycle is None:
-            if self._empty:
-                return None
-            parent = self._parent
-            if parent is None:
-                cycle, k = _FULL_PLANE, 0
-            else:
-                cycle, k = parent._edges(), len(parent.constraints)
-            row_of = self._row_of
-            while cycle is not None and k < len(self.constraints):
-                cycle = _clip(cycle, k, row_of(k), row_of)
-                k += 1
-            self._cycle = cycle
-            self._parent = None
-            self._empty = cycle is None
-        elif cycle[1] is None:  # labels carried by a motion
+        if cycle is not None and cycle[1] is None:
             cycle = self._cycle = (cycle[0], _cycle_vertices(cycle[0], self._row_of))
         return cycle
 
@@ -593,16 +591,16 @@ class Cell:
             raise GeometryError("motion and cell dimension mismatch")
         if rot is None and not any(shift):
             return self  # the identity
-        if self.carrier.dim == self.carrier.ambient_dim:
-            out = Cell(self.carrier)  # motions keep constraints regular
-            out.constraints = tuple(_moved_row(xi, form) for xi in self.constraints)
-            if self._cycle is not None and self.constraints:  # the whole plane has no labels
-                out._cycle = (self._cycle[0], None)
-        else:
-            out = self._moved_via_carrier(
-                lambda v: _vec(*_mapped(form, *_encode(v), shift=False)), _vec(shift, dt)
-            )
         # A rigid motion is a bijection, so the image is empty iff the cell is.
+        if self.carrier.dim == self.carrier.ambient_dim:
+            cons = tuple(_moved_row(xi, form) for xi in self.constraints)  # still regular
+            cycle = self._cycle
+            if cycle is not None and cons:  # the whole plane has no labels
+                cycle = (cycle[0], None)
+            return Cell.__new__(Cell)._init(self.carrier, cons, self._empty, cycle, len(cons))
+        out = self._moved_via_carrier(
+            lambda v: _vec(*_mapped(form, *_encode(v), shift=False)), _vec(shift, dt)
+        )
         out._empty = self._empty
         return out
 
@@ -627,13 +625,12 @@ class Cell:
         return self.moved((None, 1, *_encode(v)))
 
     def with_extra(self, constraints: Sequence[AffineFunctional]) -> "Cell":
-        out = Cell(self.carrier, constraints)  # checks the added ones only
-        out.constraints = self.constraints + out.constraints
-        if self._empty:
-            out._empty = True
-        elif self.carrier.dim == 2:
-            out._parent = self
-        return out
+        """The cell with ``constraints`` added, which are checked; a plane
+        cell's cycle is clipped by them alone."""
+        cons = self.constraints + _checked(self.carrier, constraints)
+        return Cell.__new__(Cell)._init(
+            self.carrier, cons, self._empty or None, self._edges(), len(self.constraints)
+        )
 
     def pruned(self) -> "Cell":
         """An equal cell without constraints the others already imply.
@@ -650,24 +647,21 @@ class Cell:
             index = {old: new for new, old in enumerate(sorted(set(labels) - {_INF}))}
             if len(index) == len(self.constraints):
                 return self
-            cell = Cell(self.carrier, [self.constraints[i] for i in index])
-            cell._empty = False
-            cell._cycle = (tuple(index.get(l, _INF) for l in labels), verts)
-            return cell
-        kept = list(self.constraints)
+            cons = tuple(self.constraints[i] for i in index)
+            cycle = (tuple(index.get(l, _INF) for l in labels), verts)
+            return Cell.__new__(Cell)._init(self.carrier, cons, False, cycle, len(cons))
+        kept = self.constraints
         i = 0
         while len(kept) > 1 and i < len(kept):
             rest = kept[:i] + kept[i + 1 :]
-            probe = Cell(self.carrier, rest + [complement_halfspace(kept[i])])
+            probe = Cell.__new__(Cell)._init(self.carrier, rest + (complement_halfspace(kept[i]),))
             if probe.is_empty():
                 kept = rest
             else:
                 i += 1
         if len(kept) == len(self.constraints):
             return self
-        cell = Cell(self.carrier, kept)
-        cell._empty = self._empty
-        return cell
+        return Cell.__new__(Cell)._init(self.carrier, kept, self._empty, None, len(kept))
 
     def __repr__(self) -> str:
         return f"Cell({self.carrier!r}, {list(self.constraints)!r})"

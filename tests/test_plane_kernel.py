@@ -29,9 +29,9 @@ from fractions import Fraction
 import pytest
 from conftest import deadline
 
-from refinedgeo.algebra import RefinedPolytope, area, equals
+from refinedgeo.algebra import RefinedPolytope, area, equals, is_subset
 from refinedgeo.cells import Cell
-from refinedgeo.equidecomp import Motion, convex_polygon_cell
+from refinedgeo.equidecomp import Motion, convex_polygon_cell, polygon_lift
 from refinedgeo.errors import GeometryError
 from refinedgeo.fm import LinIneq, feasible, is_bounded, vertices
 from refinedgeo.linalg import AffineFunctional, Carrier, Vec
@@ -138,7 +138,7 @@ def _grown(rng: random.Random, fns: list) -> Cell:
         cell = cell.with_extra(fns[k : k + step])
         k += step
         if rng.random() < 0.5:
-            _check_cell(cell)  # an intermediate parent, asked before its child
+            _check_cell(cell)  # an intermediate parent, compared as well
     return cell
 
 
@@ -401,3 +401,78 @@ def test_reflection_cannot_move_a_plane_cell():
     ref = tri._moved_via_carrier(m.apply_direction, m.translation).with_extra([cut])
     assert area(RefinedPolytope(2, [image])) == area(RefinedPolytope(2, [ref])) == Fraction(4, 3)
     assert equals(RefinedPolytope(2, [image]), RefinedPolytope(2, [ref]))
+
+
+def test_plane_cells_decide_emptiness_when_made():
+    """Every constructor of a cell on a 2-dimensional carrier, whether the
+    full plane or a plane in space, decides the cell's emptiness at once,
+    and it is what a fresh strict feasibility test decides."""
+    rng = random.Random("plane-cells-made")
+    tilted = Carrier(Vec(1, 0, 2), [Vec(1, 0, 1), Vec(0, 1, -1)])
+    motions = [
+        Motion.rotation_about(Vec(1, -2), Fraction(3, 5), Fraction(4, 5)),
+        Motion.translation_by(Vec(2, -1)),
+    ]
+    made, outcomes = 0, set()
+    with deadline(60, "plane cells decided when made"):
+        for trial in range(60):
+            fns: list = []
+            for _ in range(rng.randint(1, 5)):
+                fns.append(_row(rng, UNITS["sqrt2-sqrt3"], fns))
+            k = rng.randint(0, len(fns))
+            # Each row has a nonzero (x, y) part, so none restricts to a constant.
+            lifted = [AffineFunctional(Vec(*xi.linear, 0), xi.constant) for xi in fns]
+            cell = Cell(PLANE, fns)
+            in_space = Cell.from_ambient(tilted, lifted)
+            for c in (
+                cell,
+                Cell(PLANE, fns[:k]).with_extra(fns[k:]),
+                Cell.from_ambient(PLANE, fns),
+                in_space,
+                in_space.translated(Vec(1, 1, 1)),
+                cell.pruned(),
+                motions[trial % 2].apply_cell(cell),
+                cell.translated(Vec(Fraction(1, 3), -2)),
+                convex_polygon_cell([Vec(0, 0), Vec(4, trial % 5), Vec(1, 3)]),
+            ):
+                assert c.carrier.dim == 2 and c._empty is not None
+                assert c._empty == (not feasible(c._strict_system(), 2))
+                outcomes.add(c._empty)
+                made += 1
+    assert made == 540 and outcomes == {True, False}
+
+
+def test_long_with_extra_chain_decides_without_recursion():
+    """A cell grown by 1 500 ``with_extra`` steps of redundant half-planes
+    used to clip each ancestor's cycle on first query, one nested call per
+    pending step, and raised RecursionError; it now clips each step when it
+    is made, and agrees with the same constraints given at once."""
+    rng = random.Random("with-extra-chain")
+    tri = [AffineFunctional(Vec(*r[:2]), r[2]) for r in ((1, 0, 10), (0, 1, 10), (-1, -1, 10))]
+    extra = []
+    for _ in range(1500):  # |a x + b y| <= 150 on the triangle, so c > 150 is redundant
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        extra.append(AffineFunctional(Vec(a or 1, b), rng.randint(151, 250)))
+    with deadline(10, "1 500-step with_extra chain"):
+        cell = Cell(PLANE, tri)
+        for xi in extra:
+            cell = cell.with_extra([xi])
+        assert not cell.is_empty()
+        assert list(cell.pruned().constraints) == tri
+        at_once = Cell(PLANE, tri + extra)
+        assert not at_once.is_empty() and list(at_once.pruned().constraints) == tri
+        assert cell.closure().vertex_positions() == at_once.closure().vertex_positions()
+        assert cell.with_extra([AffineFunctional(Vec(1, 0), -21)]).is_empty()  # x > 21
+
+
+def test_subset_of_a_large_convex_polygon_decides_without_recursion():
+    """A convex 1 200-gon is one cell with 1 200 constraints; the difference
+    behind ``is_subset`` grows cells through 1 200 prefixes, which used to
+    be clipped recursively on first query and raised RecursionError."""
+    big = polygon_lift([Vec(i, i * i) for i in range(1200)])
+    assert len(big.cells) == 1
+    inside = polygon_lift([Vec(1, 3), Vec(2, 5), Vec(1, 4)])
+    outside = polygon_lift([Vec(1, 0), Vec(2, 1), Vec(1, 1)])  # below the parabola
+    with deadline(10, "subset of a convex 1 200-gon"):
+        assert is_subset(inside, big)
+        assert not is_subset(outside, big)
