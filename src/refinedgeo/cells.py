@@ -264,6 +264,18 @@ def _point_key(v) -> tuple:
     return _key_over(v, e if _sign(e) > 0 else _scale(e, -1))
 
 
+def _mapped_key(form: tuple, key: tuple) -> tuple:
+    """The point key of a rigid motion's image of the point keyed ``key``,
+    for the motion's integer form (see ``Motion``).  A finite key is
+    (X, Y, d) with an int d > 0 and no common factor, and ``_mapped``
+    gives the image R (X, Y) / d + t in that form; a direction rotates."""
+    x, y, w = (dict(e) for e in key)
+    if not w:
+        return _point_key((*_rotated(form[0], [x, y]), w))
+    ints, den = _mapped(form, [x, y], w[0])
+    return (*(tuple(sorted(e.items())) for e in ints), ((0, den),))
+
+
 def _cycle_vertices(labels: tuple, row_of) -> tuple:
     """The vertices of a cycle from its labels alone."""
     n = len(labels)

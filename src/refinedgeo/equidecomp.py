@@ -19,6 +19,7 @@ motion is exactly orthogonal with determinant one, checked on construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,7 +34,7 @@ from .algebra import (
     partition_certified,
     partition_failure,
 )
-from .cells import Cell, _mapped, _rotated, _rotation_form, _shoelace, _vec, ccw_order
+from .cells import Cell, _mapped, _mapped_key, _rotated, _rotation_form, _shoelace, _vec, ccw_order
 from .errors import GeometryError
 from .linalg import Carrier, Vec, cross2
 from .resolution import Flag, RefinedPoint
@@ -566,7 +567,14 @@ def equiareal_shear(
     Source and target share the base segment and the parallel line pair
     (new_side - side must be parallel to base).  Pieces are intersections
     of the source with integer base-translates of the target; each moves
-    by a whole multiple of the base vector."""
+    by a whole multiple of the base vector.
+
+    In coordinates (a, b) of origin + a base + b side, the source is the
+    unit square and the target shifted by -k base is b in [0, 1] with
+    a - b mu + k in [0, 1], mu = (new_side - side) / base.  They share
+    interior exactly when k - 1 < b mu < k + 1 for some b in (0, 1), that
+    is for the integers k from floor(min(0, mu)) to ceil(max(0, mu)), so
+    every k of that range gives a piece and no other k does."""
     if sign(cross2(base, side)) == 0:
         raise GeometryError("degenerate parallelogram")
     delta = new_side - side
@@ -578,16 +586,14 @@ def equiareal_shear(
         mu = delta[1] / base[1]
     source = _pgram_lift(origin, base, side)
     target = _pgram_lift(origin, base, new_side)
-    lo = floor_scalar(mu if sign(mu) < 0 else _ZERO) - 1
-    hi = ceil_scalar(mu if sign(mu) > 0 else _ZERO) + 1
+    lo = floor_scalar(mu if sign(mu) < 0 else _ZERO)
+    hi = ceil_scalar(mu if sign(mu) > 0 else _ZERO)
     pieces: list[RefinedPolytope] = []
     motions: list[Motion] = []
     for k in range(lo, hi + 1):
         shift = base.scale(Fraction(k))
-        piece = _tight(intersect(source, target.translated(-shift)))
-        if piece.cells:
-            pieces.append(piece)
-            motions.append(Motion.translation_by(shift))
+        pieces.append(_tight(intersect(source, target.translated(-shift))))
+        motions.append(Motion.translation_by(shift))
     if check:
         _check_stage(pieces, motions, source, target)
     return pieces, motions, target
@@ -652,8 +658,9 @@ class _Chain:
 
     A stage cuts every image by the stage pieces and moves each cut once,
     composing the stage motion onto the image's motion.  Start pieces are
-    not kept; they are recovered once, at the end, through each final
-    motion's inverse."""
+    not kept: ``equidecompose`` recovers each one from its cut in the last
+    stage, through the inverse of the motion that carried the cut image
+    there."""
 
     def __init__(self, start: RefinedPolytope):
         self.images: list[RefinedPolytope] = [start]
@@ -661,17 +668,22 @@ class _Chain:
 
     def apply_stage(
         self, stage_pieces: Sequence[RefinedPolytope], stage_motions: Sequence[Motion]
-    ) -> None:
+    ) -> list[tuple[RefinedPolytope, Motion]]:
+        """Returns each new image's cut before the stage moved it, with the
+        motion that carried its start piece onto that cut."""
         images: list[RefinedPolytope] = []
         motions: list[Motion] = []
+        cuts: list[tuple[RefinedPolytope, Motion]] = []
         for image, f in zip(self.images, self.motions):
             for sp, sm in zip(stage_pieces, stage_motions):
                 e = _tight(intersect(image, sp))
                 if e.cells:
                     images.append(sm.apply_polytope(e))
                     motions.append(sm.compose(f))
+                    cuts.append((e, f))
         self.images = images
         self.motions = motions
+        return cuts
 
     def move(self, m: Motion) -> None:
         """Move every image by one motion; nothing is cut."""
@@ -841,9 +853,21 @@ def _signatures_match(a: list[Scalar], b: list[Scalar]) -> bool:
     return len(a) == len(b) and all(sign(x - y) == 0 for x, y in zip(a, b))
 
 
-def _vertex_keys(p: RefinedPolytope) -> Optional[frozenset]:
-    """The exact keys of a plane p's vertices (``Cell.keyed_boundary``)."""
-    return frozenset().union(*(c.keyed_boundary()[1] for c in p.cells)) if _plane(p) else None
+def _piece_keys(p: RefinedPolytope, form: Optional[tuple] = None) -> tuple[Counter, frozenset]:
+    """The vertex key sets of a plane p's cells (``Cell.keyed_boundary``),
+    counted with multiplicity, and the keys of p's corners.  With a rigid
+    motion's integer form, those of the motion's image of p, mapped from
+    p's keys (``cells._mapped_key``) without moving p."""
+    keyed = [c.keyed_boundary() for c in p.cells]
+    if form is not None:
+        image = dict.fromkeys(k for points, _ in keyed for k in points)
+        for k in image:
+            image[k] = _mapped_key(form, k)
+        keyed = [([image[k] for k in points], [image[k] for k in corners]) for points, corners in keyed]
+    return (
+        Counter(frozenset(points) for points, _ in keyed),
+        frozenset(k for _, corners in keyed for k in corners),
+    )
 
 
 def verify_decomposition(
@@ -860,18 +884,28 @@ def verify_decomposition(
     indicators agree almost everywhere, so the unions agree up to measure
     0, and a nonempty rank-2 cell of either difference would have positive
     area.  m has determinant 1, so images of counterclockwise cycles stay
-    counterclockwise.  A pair whose chains differ, and every pair when a
-    side was not certified, is decided by ``equals``.  The image is moved
-    once, by m's integer form (``Cell.moved``).
+    counterclockwise.
 
-    The same image decides the signature line.  Equal exact keys are equal
-    values, so when the keys of the image's vertices are the keys of qq's
-    vertices, qq's vertex values are m's image of pp's, as sets.  m is
-    rigid, so the squared distances between distinct vertices, which the
-    reference signature lists after deduplicating vertices by value, are
-    the same multiset on both sides.  Otherwise, as when an equal set is
-    encoded differently or qq's cells are split elsewhere, both signatures
-    are computed and compared."""
+    The chains are compared on vertex keys first, without moving pp.  The
+    source certificate has keyed the vertices of pp's cells, and m's
+    integer form maps those keys.  A cell's closure is the conic hull of
+    its cycle's vertices; m acts on the oriented projective plane as a
+    linear map of determinant 1, so it carries that hull onto the hull of
+    the images, and equal keys are equal values.  So when the mapped key
+    sets of pp's cells are the key sets of qq's cells, each as often, the
+    image cells have qq's closures and the chains are equal.  On a
+    mismatch pp is moved by m's integer form (``Cell.moved``) and the
+    image's chain is compared with qq's (``boundary_cancels``).  A pair
+    whose chains differ, and every pair when a side was not certified, is
+    decided by ``equals`` on the image.
+
+    The mapped corner keys decide the signature line.  When they are the
+    keys of qq's vertices, qq's vertex values are m's image of pp's, as
+    sets.  m is rigid, so the squared distances between distinct vertices,
+    which the reference signature lists after deduplicating vertices by
+    value, are the same multiset on both sides.  Otherwise, as when an
+    equal set is encoded differently or qq's cells are split elsewhere,
+    both signatures are computed and compared."""
     report = VerificationReport()
     certified = True
     for label, pieces, whole in (("source", d.pieces_p, p), ("target", d.pieces_q, q)):
@@ -885,15 +919,19 @@ def verify_decomposition(
             "" if failure is None else f"{failure[0]} at {failure[1]!r}",
         )
     for i, (pp, qq, m) in enumerate(zip(d.pieces_p, d.pieces_q, d.motions), start=1):
-        image = m.apply_polytope(pp)
-        ok = certified and boundary_cancels(
-            [(1, c) for c in image.cells] + [(-1, c) for c in qq.cells]
-        )
+        mapped = target = None  # certified sides hold plane pieces only
+        if _plane(pp) and _plane(qq):
+            mapped, target = _piece_keys(pp, m.form), _piece_keys(qq)
+        ok = certified and mapped[0] == target[0]
         if not ok:
-            ok = equals(image, qq)
+            image = m.apply_polytope(pp)
+            ok = certified and boundary_cancels(
+                [(1, c) for c in image.cells] + [(-1, c) for c in qq.cells]
+            )
+            if not ok:
+                ok = equals(image, qq)
         report.add(f"motion {i} carries piece {i} exactly", ok)
-        keys = _vertex_keys(image)
-        sig_ok = keys is not None and keys == _vertex_keys(qq)
+        sig_ok = mapped is not None and mapped[1] == target[1]
         sig_ok = sig_ok or _signatures_match(_congruence_signature(pp), _congruence_signature(qq))
         report.add(f"piece pair {i} congruence signature", sig_ok)
     return report
@@ -951,11 +989,14 @@ def equidecompose(
         chain_q = _chain_q_onto_rect_p(tq_c, frame, log, f"pair {idx} Q-side", kq)
         # Both chains end on the P rectangle: cutting P's images by Q's and
         # moving the cuts back along Q's motions lands them on Q's triangle.
-        chain_p.apply_stage(chain_q.images, [g.inverse() for g in chain_q.motions])
+        # A cut e of an image that f carried there is f's image of its P
+        # piece, so that piece is f's inverse of e, which the final motion
+        # g^-1 f gives too.  f is a half-turn or a translation; g^-1 f
+        # carries the Q chain's rotation, with square-root entries.
+        cuts = chain_p.apply_stage(chain_q.images, [g.inverse() for g in chain_q.motions])
         pieces_q += chain_p.images
         motions += chain_p.motions
-        for image, m in zip(chain_p.images, chain_p.motions):
-            pieces_p.append(m.inverse().apply_polytope(image))
+        pieces_p += [f.inverse().apply_polytope(e) for e, f in cuts]
     log.append(f"composed chains: {len(pieces_p)} matched pieces")
     d = Decomposition(pieces_p, pieces_q, motions, log)
     d._lifts = (lift_p, lift_q)

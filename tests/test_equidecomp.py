@@ -4,6 +4,7 @@ the full pipeline, and its exact verifier."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from refinedgeo import algebra, equidecomp
 from refinedgeo.algebra import RefinedPolytope, equals, partition_check
-from refinedgeo.cells import Cell
+from refinedgeo.cells import Cell, _mapped_key
 from refinedgeo.cli import write_decomposition
 from refinedgeo.equidecomp import (
     Decomposition,
@@ -32,8 +33,8 @@ from refinedgeo.equidecomp import (
 )
 from refinedgeo.errors import GeometryError
 from refinedgeo.fm import feasible
-from refinedgeo.linalg import AffineFunctional, Carrier, Vec
-from refinedgeo.scalars import adjoin_sqrt, sign
+from refinedgeo.linalg import AffineFunctional, Carrier, Vec, cross2
+from refinedgeo.scalars import adjoin_sqrt, ceil_scalar, floor_scalar, sign
 
 F = Fraction
 PLANE = Carrier.full(2)
@@ -168,6 +169,28 @@ def test_full_plane_motion_matches_carrier_path(name):
             poly.rank, [c._moved_via_carrier(m.apply_direction, m.translation) for c in poly.cells]
         )
         assert equals(fast, ref) and equals(ref, fast)
+
+
+def _corner_keys(cell: Cell) -> set:
+    """The keys of the vertices between two edges, finite or at infinity."""
+    labels = cell._edges()[0]
+    return {k for i, k in enumerate(cell.keyed_boundary()[0]) if labels[i] != labels[i - 1]}
+
+
+@pytest.mark.parametrize("name", sorted(MOTIONS))
+def test_mapped_keys_are_the_moved_cells_keys(name):
+    """``cells._mapped_key`` maps a cell's corner keys, finite points and
+    directions at infinity alike, onto the corner keys of the moved cell."""
+    m = MOTIONS[name]
+    rng = random.Random(f"keys-{name}")
+    unbounded = 0
+    for _ in range(16):
+        cell = _random_plane_cell(rng)
+        if cell.is_empty():
+            continue
+        assert {_mapped_key(m.form, k) for k in _corner_keys(cell)} == _corner_keys(m.apply_cell(cell))
+        unbounded += not cell.closure().is_bounded()
+    assert unbounded
 
 
 def test_lower_rank_cell_takes_the_carrier_path(monkeypatch):
@@ -377,6 +400,60 @@ def test_shear_strip_count():
     # Displacement 5 against base 2 needs ceil(5/2) + 1 = 4 strip pieces.
     pieces, _, _ = equiareal_shear(Vec(0, 0), Vec(2, 0), Vec(0, 1), Vec(5, 1))
     assert len(pieces) == 4
+
+
+def _shear_cases(rng: random.Random):
+    """Seeded shears (kind, mu kind, origin, base, side, mu): for each
+    coordinate kind, mu > 0 and mu < 0 off the integers, mu a positive and
+    a negative integer, and mu = 0."""
+    r2 = adjoin_sqrt(2)
+    for kind, s in (("rational", 0), ("sqrt2", r2)):
+
+        def coord():
+            return F(rng.randint(-6, 6), rng.randint(1, 4)) + F(rng.randint(-3, 3), 3) * s
+
+        for mu_kind in ("positive", "negative", "integer", "-integer", "zero"):
+            for _ in range(2):
+                while True:
+                    base, side = Vec(coord(), coord()), Vec(coord(), coord())
+                    if sign(cross2(base, side)):
+                        break
+                q = rng.choice([2, 3, 7])
+                off = rng.randint(0, 2) + F(rng.randint(1, q - 1), q) + F(rng.randint(0, 2), 5) * s
+                mu = {
+                    "positive": off,
+                    "negative": -off,
+                    "integer": rng.randint(1, 4),
+                    "-integer": -rng.randint(1, 4),
+                    "zero": 0,
+                }[mu_kind]
+                yield kind, mu_kind, Vec(coord(), coord()), base, side, mu
+
+
+def test_shear_strips_are_the_exact_range(monkeypatch):
+    """Every k the strip loop visits cuts a nonempty piece, and there are
+    ceil(max(0, mu)) - floor(min(0, mu)) + 1 of them, shifted by k base
+    in order; check=True certifies both partitions."""
+    cut_cells = []
+    real = equidecomp.intersect
+
+    def recorded(a, b):
+        out = real(a, b)
+        cut_cells.append(len(out.cells))
+        return out
+
+    monkeypatch.setattr(equidecomp, "intersect", recorded)
+    seen = set()
+    for kind, mu_kind, origin, base, side, mu in _shear_cases(random.Random(1919)):
+        cut_cells.clear()
+        pieces, motions, _ = equiareal_shear(origin, base, side, side + base.scale(mu), check=True)
+        lo = floor_scalar(mu if sign(mu) < 0 else 0)
+        hi = ceil_scalar(mu if sign(mu) > 0 else 0)
+        assert len(cut_cells) == len(pieces) == hi - lo + 1, (kind, mu_kind, mu)
+        assert all(cut_cells) and all(piece.cells for piece in pieces), (kind, mu_kind, mu)
+        assert [m.translation for m in motions] == [base.scale(F(k)) for k in range(lo, hi + 1)]
+        seen.add((kind, mu_kind))
+    assert len(seen) == 10
 
 
 def test_shear_rejects_non_parallel_move():
@@ -603,6 +680,114 @@ def test_signature_shortcut_matches_reference(monkeypatch):
                 assert all(got) and differ == len(d)
             else:
                 assert not all(got), case
+
+
+def _field_pairs(rng: random.Random, kinds=("rational", "sqrt2", "nested")):
+    """Seeded equal-area triangle pairs per coordinate kind: three vertices
+    of random lattice hulls, sheared along x by s y / 3 with s = 0, sqrt(2)
+    or sqrt(2 + sqrt(2)), which keeps their areas."""
+    r2 = adjoin_sqrt(2)
+    roots = {"rational": 0, "sqrt2": r2, "nested": adjoin_sqrt(2 + r2)}
+    for kind in kinds:
+        s = roots[kind]
+        p = random_convex_polygon(rng)[:3]
+        q = [(2 * x, y / 2) for x, y in random_convex_polygon(rng)[:3]]
+        ratio = abs(shoelace_area([Vec(*v) for v in p]) / shoelace_area([Vec(*v) for v in q]))
+        yield kind, [(x + s * y / 3, y) for x, y in p], [(x * ratio + s * y / 3, y) for x, y in q]
+
+
+def _cell_key_sets(piece: RefinedPolytope) -> Counter:
+    return Counter(frozenset(c.keyed_boundary()[0]) for c in piece.cells)
+
+
+def test_mapped_key_motion_check_matches_moved_pieces(monkeypatch):
+    """The motion line read from mapped vertex keys against the moved-piece
+    reference, on the library's own pairs with rational, sqrt(2) and
+    nested coordinates, and five tampers: a 1/1000 shift, an extra rotation
+    by 45 degrees, each rotation transposed, target pieces rotated by one
+    place, and a source piece whose first cell is duplicated.
+
+    For every pair, ``_piece_keys`` of the source under the motion is what
+    moving the piece gives: its cells' key sets with multiplicity and its
+    corners.  Every line is ``equals`` on the moved piece.  When both sides
+    are certified, a piece is moved exactly when the key sets differ, so
+    every true motion is decided without moving anything; otherwise every
+    piece is moved."""
+    r2 = adjoin_sqrt(2)
+    off = Motion.translation_by(Vec(F(1, 1000), 0))
+    turn = Motion.rotation_about(Vec(0, 0), r2 / 2, r2 / 2)
+    moved = []
+    apply_polytope = Motion.apply_polytope
+
+    def counted(m, piece):
+        moved.append(piece)
+        return apply_polytope(m, piece)
+
+    rotated = 0
+    for kind, p, q in _field_pairs(random.Random(1717)):
+        d = equidecompose(p, q, check=False)
+        lift_p, lift_q = polygon_lift(p), polygon_lift(q)
+        pp0 = d.pieces_p[0]
+        cases = {
+            "own": (d.pieces_p, d.pieces_q, d.motions),
+            "shifted": (d.pieces_p, d.pieces_q, [off.compose(m) if i % 2 else m for i, m in enumerate(d.motions)]),
+            "turned": (d.pieces_p, d.pieces_q, [m if i % 2 else turn.compose(m) for i, m in enumerate(d.motions)]),
+            "transposed": (d.pieces_p, d.pieces_q, [Motion(tuple(zip(*m.rotation)), m.translation) for m in d.motions]),
+            "next": (d.pieces_p, d.pieces_q[1:] + d.pieces_q[:1], d.motions),
+            "duplicated": ([RefinedPolytope(2, pp0.cells + pp0.cells[:1])] + d.pieces_p[1:], d.pieces_q, d.motions),
+        }
+        for case, (pieces_p, pieces_q, motions) in cases.items():
+            images = [m.apply_polytope(pp) for pp, m in zip(pieces_p, motions)]
+            for pp, image, m in zip(pieces_p, images, motions):
+                corners = frozenset(k for c in image.cells for k in c.keyed_boundary()[1])
+                assert equidecomp._piece_keys(pp, m.form) == (_cell_key_sets(image), corners), (kind, case)
+            want = [equals(image, qq) for image, qq in zip(images, pieces_q)]
+            certified = algebra.partition_certified(pieces_p, lift_p) and algebra.partition_certified(
+                pieces_q, lift_q
+            )
+            monkeypatch.setattr(Motion, "apply_polytope", counted)
+            moved.clear()
+            report = verify_decomposition(Decomposition(pieces_p, pieces_q, motions), lift_p, lift_q)
+            monkeypatch.setattr(Motion, "apply_polytope", apply_polytope)
+            lines = {label: ok for label, ok, _ in report.entries}
+            got = [lines[f"motion {i} carries piece {i} exactly"] for i in range(1, len(d) + 1)]
+            assert got == want, (kind, case)
+            differ = [
+                pp
+                for pp, image, qq in zip(pieces_p, images, pieces_q)
+                if not certified or _cell_key_sets(image) != _cell_key_sets(qq)
+            ]
+            assert [id(x) for x in moved] == [id(x) for x in differ], (kind, case)
+            if case == "own":
+                assert certified and all(got) and not moved, kind
+            elif case in ("shifted", "turned"):
+                assert got == [i % 2 == (case == "turned") for i in range(len(d))], (kind, case)
+            elif case == "duplicated":
+                assert not certified and all(got), kind
+            else:
+                assert not all(got), (kind, case)
+        rotated += sum(sign(m.rotation[0][1]) != 0 for m in d.motions)
+    assert rotated  # the Q chains' rotations, which transposing changes
+
+
+def test_source_pieces_are_the_inverse_images_of_the_targets():
+    """Each source piece, built from its cut in the last stage, has the
+    cells that moving its target piece back through the final motion's
+    inverse gives: the same integer rows, cycle labels and vertex keys, cell
+    by cell, on the golden pairs and on seeded rational and sqrt(2) pairs.
+    Homogeneous vertices may differ by a positive factor, and dicts by
+    insertion order."""
+    pairs = [(p, q) for p, q in GOLDEN.values()]
+    pairs += [(p, q) for _, p, q in _field_pairs(random.Random(1818), ("rational", "sqrt2", "rational", "sqrt2"))]
+    for p, q in pairs:
+        d = equidecompose(p, q, check=False)
+        for pp, qq, m in zip(d.pieces_p, d.pieces_q, d.motions):
+            back = m.inverse().apply_polytope(qq)
+            assert len(pp.cells) == len(back.cells)
+            for a, b in zip(pp.cells, back.cells):
+                assert [xi.row() for xi in a.constraints] == [xi.row() for xi in b.constraints]
+                assert a._edges()[0] == b._edges()[0]
+                assert a.keyed_boundary() == b.keyed_boundary()
 
 
 def test_verify_empty_decomposition_passes():
