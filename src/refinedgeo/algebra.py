@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .cells import Cell, ClosedPiece, complement_halfspace, convex_area
+from .cells import Cell, ClosedPiece, _shoelace, complement_halfspace
 from .errors import GeometryError
 from .fm import LinIneq, affine_dim
 from .linalg import Carrier, Vec, carrier_intersection, restrict_functional
@@ -324,7 +324,7 @@ def area(p: RefinedPolytope) -> Scalar:
             piece = fresh.closure()
             if not piece.is_bounded():
                 raise GeometryError("area of an unbounded polytope")
-            total = total + convex_area(piece.vertex_positions())
+            total = total + _shoelace(piece.vertex_positions())
         seen = union(seen, solo)
     return total
 

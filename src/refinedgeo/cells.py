@@ -44,7 +44,6 @@ __all__ = [
     "cell_contains",
     "cell_is_empty",
     "complement_halfspace",
-    "convex_area",
 ]
 
 _ONE = Fraction(1)
@@ -325,12 +324,6 @@ def _shoelace(pts: list[Vec]) -> Scalar:
     for p, q in zip(pts, pts[1:] + pts[:1]):
         twice = twice + cross2(p, q)
     return twice * _HALF
-
-
-def convex_area(points: Sequence[Vec]) -> Scalar:
-    """Exact area of the convex hull of planar points that are its vertices
-    (e.g. the vertex positions of a bounded planar closure); 0 below three."""
-    return _shoelace(ccw_order(points))
 
 
 class ClosedPiece:

@@ -39,6 +39,7 @@ from .scenario import (
     ParseError,
     _Cursor,
     _Parser,
+    _resolve_path,
     _scan_line,
     bundled_scenarios,
     parse_scenario,
@@ -52,13 +53,6 @@ _OUTDIR_VAR = "REFINEDGEO_OUTDIR"
 
 def _outdir(explicit: Optional[str]) -> Optional[str]:
     return explicit if explicit is not None else os.environ.get(_OUTDIR_VAR)
-
-
-def _resolve(path: str, outdir: Optional[str]) -> str:
-    if os.path.isabs(path) or outdir is None:
-        return path
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, path)
 
 
 def _parse_poly_expr(text: str):
@@ -122,7 +116,11 @@ def _cmd_check(args) -> int:
     except ParseError as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(scenario, outdir=_outdir(args.outdir))
+    try:
+        report = run_scenario(scenario, outdir=_outdir(args.outdir))
+    except GeometryError as exc:
+        print(f"{args.scenario}: {exc}", file=sys.stderr)
+        return 2
     print(report)
     return 0 if report.all_passed else 1
 
@@ -135,7 +133,11 @@ def _cmd_op(args) -> int:
         return 2
     from .scenario import _Runtime
 
-    result = _Runtime(None).poly(expr)
+    try:
+        result = _Runtime(None).poly(expr)
+    except GeometryError as exc:
+        print(f"expression: {exc}", file=sys.stderr)
+        return 2
     print(f"cells: {len(result.cells)}")
     print(f"empty: {'yes' if is_empty(result) else 'no'}")
     try:
@@ -145,7 +147,7 @@ def _cmd_op(args) -> int:
     if args.emit:
         from .svg import render_svg
 
-        path = _resolve(args.emit, _outdir(args.outdir))
+        path = _resolve_path(args.emit, _outdir(args.outdir))
         render_svg([result], path)
         print(f"wrote {path}")
     return 0
@@ -169,11 +171,11 @@ def _cmd_wbg(args) -> int:
     if args.emit:
         from .svg import render_svg
 
-        path = _resolve(args.emit, outdir)
+        path = _resolve_path(args.emit, outdir)
         render_svg([d], path)
         print(f"wrote {path}")
     if args.emit_decomp:
-        path = _resolve(args.emit_decomp, outdir)
+        path = _resolve_path(args.emit_decomp, outdir)
         write_decomposition(d, path)
         print(f"wrote {path}")
     return 0 if d.report is not None and d.report.all_passed else 1

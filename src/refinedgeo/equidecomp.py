@@ -28,11 +28,9 @@ from .algebra import (
     _partition_witness,
     _plane,
     area,
-    boundary_cancels,
     equals,
     intersect,
     partition_certified,
-    partition_failure,
 )
 from .cells import Cell, _mapped, _mapped_key, _rotated, _rotation_form, _shoelace, _vec, ccw_order
 from .errors import GeometryError
@@ -521,23 +519,8 @@ def _pgram_lift(origin: Vec, base: Vec, side: Vec) -> RefinedPolytope:
     )
 
 
-def _check_stage(
-    pieces: Sequence[RefinedPolytope],
-    motions: Sequence[Motion],
-    source: RefinedPolytope,
-    target: RefinedPolytope,
-) -> None:
-    failure = partition_failure(list(pieces), source)
-    if failure is not None:
-        raise GeometryError(f"stage does not partition its source: {failure[0]}")
-    moved = [m.apply_polytope(p) for p, m in zip(pieces, motions)]
-    failure = partition_failure(moved, target)
-    if failure is not None:
-        raise GeometryError(f"stage does not partition its target: {failure[0]}")
-
-
 def triangle_to_parallelogram(
-    triangle: Sequence[Vec], check: bool = True
+    triangle: Sequence[Vec]
 ) -> tuple[list[RefinedPolytope], list[Motion], RefinedPolytope]:
     """Midline cut: the top triangle rotates 180 degrees onto the side,
     producing a parallelogram on the same base with half the height."""
@@ -553,14 +536,11 @@ def triangle_to_parallelogram(
         Motion.identity(),
         Motion(((-_ONE, _ZERO), (_ZERO, -_ONE)), m2 + m2),
     ]
-    target = _pgram_lift(v0, v1 - v0, h)
-    if check:
-        _check_stage(pieces, motions, convex_polygon_lift([v0, v1, v2]), target)
-    return pieces, motions, target
+    return pieces, motions, _pgram_lift(v0, v1 - v0, h)
 
 
 def equiareal_shear(
-    origin: Vec, base: Vec, side: Vec, new_side: Vec, check: bool = True
+    origin: Vec, base: Vec, side: Vec, new_side: Vec
 ) -> tuple[list[RefinedPolytope], list[Motion], RefinedPolytope]:
     """Shear a parallelogram along its base by translating strip pieces.
 
@@ -594,8 +574,6 @@ def equiareal_shear(
         shift = base.scale(Fraction(k))
         pieces.append(_tight(intersect(source, target.translated(-shift))))
         motions.append(Motion.translation_by(shift))
-    if check:
-        _check_stage(pieces, motions, source, target)
     return pieces, motions, target
 
 
@@ -696,12 +674,12 @@ def _rect_frame(triangle: tuple[Vec, Vec, Vec], log: list[str], tag: str):
     chain and the rectangle frame (origin, base, height vector)."""
     v0, v1, v2 = triangle
     chain = _Chain(convex_polygon_lift([v0, v1, v2]))
-    pieces, motions, _ = triangle_to_parallelogram(triangle, check=False)
+    pieces, motions, _ = triangle_to_parallelogram(triangle)
     chain.apply_stage(pieces, motions)
     b = v1 - v0
     h = (v2 - v0).scale(_HALF)
     n = h - b.scale(h.dot(b) / b.dot(b))
-    pieces, motions, _ = equiareal_shear(v0, b, h, n, check=False)
+    pieces, motions, _ = equiareal_shear(v0, b, h, n)
     chain.apply_stage(pieces, motions)
     log.append(f"{tag}: triangle to rectangle (midline cut + shear)")
     return chain, (v0, b, n)
@@ -722,7 +700,7 @@ def _chain_q_onto_rect_p(
     p_frame: tuple[Vec, Vec, Vec],
     log: list[str],
     tag: str,
-    planned_doublings: int = 0,
+    planned_doublings: int,
 ) -> _Chain:
     """Q-triangle chain ending exactly on the P rectangle."""
     op, bp, np_ = p_frame
@@ -747,10 +725,10 @@ def _chain_q_onto_rect_p(
     s = b.scale(lam) + n
     if sign(s.dot(s) - n_p_sq) != 0:
         raise GeometryError("slant side length drifted; exact arithmetic bug")
-    pieces, motions, _ = equiareal_shear(o, b, n, s, check=False)
+    pieces, motions, _ = equiareal_shear(o, b, n, s)
     chain.apply_stage(pieces, motions)
     m = b - s.scale(root / n_p_sq)
-    pieces, motions, _ = equiareal_shear(o, s, b, m, check=False)
+    pieces, motions, _ = equiareal_shear(o, s, b, m)
     chain.apply_stage(pieces, motions)
     log.append(f"{tag}: two shears through the slant side")
     # Rigid motion: s -> -bp forces m -> np (orientation), corner o -> op+bp.
@@ -879,25 +857,17 @@ def verify_decomposition(
     A partition that boundary cancellation certifies needs no clipping
     (the argument is in ``algebra.partition_failure``).  When both sides
     are certified, every piece is a union of rank-2 plane cells, and m
-    carries pp onto qq exactly when the boundary chain of m's image of pp
-    equals qq's.  Equal chains make the sums of the two sides' interior
-    indicators agree almost everywhere, so the unions agree up to measure
-    0, and a nonempty rank-2 cell of either difference would have positive
-    area.  m has determinant 1, so images of counterclockwise cycles stay
-    counterclockwise.
-
-    The chains are compared on vertex keys first, without moving pp.  The
-    source certificate has keyed the vertices of pp's cells, and m's
-    integer form maps those keys.  A cell's closure is the conic hull of
-    its cycle's vertices; m acts on the oriented projective plane as a
-    linear map of determinant 1, so it carries that hull onto the hull of
-    the images, and equal keys are equal values.  So when the mapped key
-    sets of pp's cells are the key sets of qq's cells, each as often, the
-    image cells have qq's closures and the chains are equal.  On a
-    mismatch pp is moved by m's integer form (``Cell.moved``) and the
-    image's chain is compared with qq's (``boundary_cancels``).  A pair
-    whose chains differ, and every pair when a side was not certified, is
-    decided by ``equals`` on the image.
+    carries pp onto qq when the mapped vertex key sets of pp's cells are
+    the key sets of qq's cells, each as often.  The source certificate has
+    keyed pp's vertices, and m's integer form maps the keys without moving
+    pp.  A cell's closure is the conic hull of its cycle's vertices, m acts
+    on the oriented projective plane as a linear map of determinant 1, and
+    equal keys are equal values, so the image cells have qq's closures.
+    Their boundary chains are then equal, the two sides' interior
+    indicators agree almost everywhere, and a nonempty rank-2 cell of
+    either difference would have positive area.  Every other pair, and
+    every pair when a side was not certified, is decided by ``equals`` on
+    pp moved by m.
 
     The mapped corner keys decide the signature line.  When they are the
     keys of qq's vertices, qq's vertex values are m's image of pp's, as
@@ -923,13 +893,7 @@ def verify_decomposition(
         if _plane(pp) and _plane(qq):
             mapped, target = _piece_keys(pp, m.form), _piece_keys(qq)
         ok = certified and mapped[0] == target[0]
-        if not ok:
-            image = m.apply_polytope(pp)
-            ok = certified and boundary_cancels(
-                [(1, c) for c in image.cells] + [(-1, c) for c in qq.cells]
-            )
-            if not ok:
-                ok = equals(image, qq)
+        ok = ok or equals(m.apply_polytope(pp), qq)
         report.add(f"motion {i} carries piece {i} exactly", ok)
         sig_ok = mapped is not None and mapped[1] == target[1]
         sig_ok = sig_ok or _signatures_match(_congruence_signature(pp), _congruence_signature(qq))
@@ -977,8 +941,6 @@ def equidecompose(
     pieces_p: list[RefinedPolytope] = []
     pieces_q: list[RefinedPolytope] = []
     motions: list[Motion] = []
-    # Stage-level partition checks are skipped here: the final verification
-    # below re-establishes every intermediate claim globally and exactly.
     for idx, (tp, tq) in enumerate(zip(matched_p, matched_q), start=1):
         tp_c, tq_c, kp, kq = _plan_pair(tp, tq)
         chain_p, frame = _rect_frame(tp_c, log, f"pair {idx} P-side")

@@ -498,11 +498,14 @@ class _Runtime:
             return opposite(self.angle(expr[1]))
         return full_resolution(2)
 
-    def resolve_path(self, target: str) -> str:
-        if os.path.isabs(target) or self.outdir is None:
-            return target
-        os.makedirs(self.outdir, exist_ok=True)
-        return os.path.join(self.outdir, target)
+
+def _resolve_path(target: str, outdir: Optional[str]) -> str:
+    """A relative output path under outdir, made on demand; an absolute
+    path, or any path without an outdir, as given."""
+    if os.path.isabs(target) or outdir is None:
+        return target
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, target)
 
 
 def _witness_str(witness) -> str:
@@ -536,7 +539,7 @@ def run_scenario(s: Scenario, outdir: Optional[str] = None) -> ScenarioReport:
             from .svg import render_svg
 
             figures = [rt.poly(e) for e in st[3]]
-            render_svg(figures, rt.resolve_path(st[2]))
+            render_svg(figures, _resolve_path(st[2], rt.outdir))
             report.add(st[1], f"render {st[2]}", True, f"{len(figures)} figure(s)")
         elif kind == "wbg":
             _run_wbg(st, rt, report)
@@ -604,6 +607,6 @@ def _run_wbg(st: tuple, rt: _Runtime, report: ScenarioReport) -> None:
     if target is not None:
         from .svg import render_svg
 
-        render_svg([d], rt.resolve_path(target))
+        render_svg([d], _resolve_path(target, rt.outdir))
         detail += f", wrote {target}"
     report.add(line, f"wbg {name_a} {name_b}", ok, detail)

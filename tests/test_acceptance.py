@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from refinedgeo import algebra, equidecomp
+from refinedgeo import equidecomp
 from refinedgeo.algebra import (
     ConventionalPolytope,
     RefinedPolytope,
@@ -652,41 +652,47 @@ def test_criterion_7_equidecomposition_end_to_end():
 def test_criterion_7_pairs_decided_by_vertex_keys(monkeypatch):
     """On criterion 7's fixed pairs and its twenty randomized ones, every
     piece pair's motion and signature lines are decided from exact vertex
-    keys: no reference congruence signature is computed, and no cycle of a
-    per-pair boundary check reaches the edge sum."""
-    signatures, pair_edge_sums = [], []
-    in_pair = []
+    keys: inside verify_decomposition no piece is moved, equals never runs
+    and no reference congruence signature is computed.  Only the
+    verification is counted; equidecompose moves pieces and compares the
+    two lifts itself."""
+    inside, moved, compared, signatures = [], [], [], []
+    apply_polytope = equidecomp.Motion.apply_polytope
+    reference_equals = equidecomp.equals
     reference = equidecomp._congruence_signature
-    pair_check = equidecomp.boundary_cancels
-    edge_sum = algebra._edges_cancel
+
+    def counted_move(m, piece):
+        if inside:
+            moved.append(piece)
+        return apply_polytope(m, piece)
+
+    def counted_equals(a, b):
+        if inside:
+            compared.append(b)
+        return reference_equals(a, b)
 
     def counted_signature(p):
-        signatures.append(1)
+        signatures.append(p)
         return reference(p)
 
-    def marked_pair_check(signed):
-        in_pair.append(1)
-        try:
-            return pair_check(signed)
-        finally:
-            in_pair.pop()
-
-    def counted_edge_sum(weighted):
-        if in_pair:
-            pair_edge_sums.append(len(weighted))
-        return edge_sum(weighted)
-
+    monkeypatch.setattr(equidecomp.Motion, "apply_polytope", counted_move)
+    monkeypatch.setattr(equidecomp, "equals", counted_equals)
     monkeypatch.setattr(equidecomp, "_congruence_signature", counted_signature)
-    monkeypatch.setattr(equidecomp, "boundary_cancels", marked_pair_check)
-    monkeypatch.setattr(algebra, "_edges_cancel", counted_edge_sum)
     square = [Vec(0, 0), Vec(1, 0), Vec(1, 1), Vec(0, 1)]
     wide = [Vec(0, 0), Vec(2, 0), Vec(2, F(1, 2)), Vec(0, F(1, 2))]
     tri = [Vec(0, 0), Vec(2, 0), Vec(0, 1)]
     pairs = [(square, wide), (tri, square)]
     pairs += itertools.islice(_criterion_7_pairs(random.Random(707)), 20)
-    pieces = sum(len(_check_decomposition(a, b)) for a, b in pairs)
+    pieces = 0
+    for a, b in pairs:
+        d = equidecompose(a, b, check=False)
+        inside.append(1)
+        report = verify_decomposition(d, polygon_lift(a), polygon_lift(b))
+        inside.pop()
+        assert report.all_passed, str(report)
+        pieces += len(d)
     assert pieces > len(pairs)
-    assert not signatures and not pair_edge_sums
+    assert (len(moved), len(compared), len(signatures)) == (0, 0, 0)
 
 
 # -- criterion 8 --------------------------------------------------------------

@@ -54,6 +54,25 @@ class TestCheck:
         assert main(["check", "no_such_scenario"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("polytope S = poly (0,0) (1,0) (2,0)\n", "polygon has a spike"),
+            (
+                "polytope A = poly (0,0) (1,0) (1,1) (0,1)\npolytope B = union A A\nwbg A B\n",
+                "wbg needs polygons declared with poly vertex lists: B",
+            ),
+        ],
+        ids=["spike", "wbg_of_a_union"],
+    )
+    def test_bad_geometry_exits_two(self, tmp_path, capsys, text, message):
+        scn = tmp_path / "bad_geometry.scn"
+        scn.write_text(text)
+        assert main(["check", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{scn}: ") and message in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
     def test_render_lands_in_outdir(self, tmp_path):
         scn = tmp_path / "draw.scn"
         scn.write_text("polytope T = poly (0,0) (4,0) (0,3)\nrender t.svg T\n")
@@ -95,6 +114,12 @@ class TestOp:
     def test_bad_expression_exits_two(self, capsys):
         assert main(["op", "poly (0,0)"]) == 2
         assert "at least 3 vertices" in capsys.readouterr().err
+
+    def test_bad_geometry_exits_two(self, capsys):
+        assert main(["op", "poly (0,0) (1,0) (2,0)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("expression: ") and "polygon has a spike" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
 
 class TestWbg:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from refinedgeo import algebra, equidecomp
-from refinedgeo.algebra import RefinedPolytope, equals, partition_check
+from refinedgeo.algebra import RefinedPolytope, equals, partition_check, partition_failure
 from refinedgeo.cells import Cell, _mapped_key
 from refinedgeo.cli import write_decomposition
 from refinedgeo.equidecomp import (
@@ -352,6 +352,18 @@ def test_match_rejects_area_mismatch():
 # -- triangle to parallelogram ---------------------------------------------------
 
 
+def _stage_failure(pieces, motions, source, target):
+    """The side a stage fails on, with its partition failure: "source" when
+    the pieces do not partition the source, "target" when their images
+    under the stage motions do not partition the target; None when both
+    partitions hold."""
+    failure = partition_failure(list(pieces), source)
+    if failure is not None:
+        return "source", failure
+    failure = partition_failure([m.apply_polytope(p) for p, m in zip(pieces, motions)], target)
+    return None if failure is None else ("target", failure)
+
+
 def test_triangle_to_parallelogram_golden():
     pieces, motions, target = triangle_to_parallelogram(
         [Vec(0, 0), Vec(4, 0), Vec(0, 2)]
@@ -362,7 +374,11 @@ def test_triangle_to_parallelogram_golden():
     # 180-degree rotation about the cut midpoint (2, 1): translation is twice it.
     assert motions[1].translation == Vec(4, 2)
     assert equals(target, convex_polygon_lift([(0, 0), (4, 0), (4, 1), (0, 1)]))
-    assert partition_check(pieces, convex_polygon_lift([(0, 0), (4, 0), (0, 2)]))
+    source = convex_polygon_lift([(0, 0), (4, 0), (0, 2)])
+    assert _stage_failure(pieces, motions, source, target) is None
+    # The top triangle left in place still partitions the source, not the target.
+    failure = _stage_failure(pieces, [motions[0], motions[0]], source, target)
+    assert failure is not None and failure[0] == "target"
     assert area(target) == 4
 
 
@@ -388,6 +404,8 @@ def test_shear_single_diagonal_cut():
     shifts = sorted(m.translation[0] for m in motions)
     assert shifts == [F(0), F(2)]
     assert equals(target, convex_polygon_lift([(0, 0), (2, 0), (3, 1), (1, 1)]))
+    source = convex_polygon_lift([(0, 0), (2, 0), (2, 1), (0, 1)])
+    assert _stage_failure(pieces, motions, source, target) is None
 
 
 def test_shear_identity_is_single_piece():
@@ -433,7 +451,7 @@ def _shear_cases(rng: random.Random):
 def test_shear_strips_are_the_exact_range(monkeypatch):
     """Every k the strip loop visits cuts a nonempty piece, and there are
     ceil(max(0, mu)) - floor(min(0, mu)) + 1 of them, shifted by k base
-    in order; check=True certifies both partitions."""
+    in order, and they partition both parallelograms."""
     cut_cells = []
     real = equidecomp.intersect
 
@@ -446,12 +464,14 @@ def test_shear_strips_are_the_exact_range(monkeypatch):
     seen = set()
     for kind, mu_kind, origin, base, side, mu in _shear_cases(random.Random(1919)):
         cut_cells.clear()
-        pieces, motions, _ = equiareal_shear(origin, base, side, side + base.scale(mu), check=True)
+        pieces, motions, target = equiareal_shear(origin, base, side, side + base.scale(mu))
         lo = floor_scalar(mu if sign(mu) < 0 else 0)
         hi = ceil_scalar(mu if sign(mu) > 0 else 0)
         assert len(cut_cells) == len(pieces) == hi - lo + 1, (kind, mu_kind, mu)
         assert all(cut_cells) and all(piece.cells for piece in pieces), (kind, mu_kind, mu)
         assert [m.translation for m in motions] == [base.scale(F(k)) for k in range(lo, hi + 1)]
+        source = equidecomp._pgram_lift(origin, base, side)
+        assert _stage_failure(pieces, motions, source, target) is None, (kind, mu_kind, mu)
         seen.add((kind, mu_kind))
     assert len(seen) == 10
 
@@ -572,14 +592,16 @@ def test_a_failing_side_runs_the_certificate_once(monkeypatch):
 
 
 def test_motion_check_matches_equals(monkeypatch):
-    """The boundary-chain motion check against moving the piece and calling
+    """The vertex-key motion check against moving the piece and calling
     equals, on true motions, motions off by a 1/1000 shift and wrong
-    rotations.  equals runs only for pairs whose chains differ, and for
-    every pair once a side's partition is not certified."""
+    rotations, and on true motions onto a target whose first piece has a
+    cell re-split in two.  equals runs only for pairs whose key sets
+    differ, which the re-split pair's do, and for every pair once a side's
+    partition is not certified."""
     calls = []
 
     def counted(a, b):
-        calls.append(1)
+        calls.append(b)
         return equals(a, b)
 
     monkeypatch.setattr(equidecomp, "equals", counted)
@@ -598,22 +620,30 @@ def test_motion_check_matches_equals(monkeypatch):
             m if k == 0 else off.compose(m) if k == 1 else turn.compose(m)
             for m, k in zip(d.motions, kinds)
         ]
-        for pieces_q in (d.pieces_q, [off.apply_polytope(d.pieces_q[0])] + d.pieces_q[1:]):
+        split = [_resplit(d.pieces_q[0])] + d.pieces_q[1:]
+        cases = {
+            "tampered": (d.pieces_q, motions),
+            "uncertified": ([off.apply_polytope(d.pieces_q[0])] + d.pieces_q[1:], motions),
+            "split": (split, d.motions),
+        }
+        for case, (pieces_q, case_motions) in cases.items():
             calls.clear()
             report = verify_decomposition(
-                Decomposition(d.pieces_p, pieces_q, motions), lift_p, lift_q
+                Decomposition(d.pieces_p, pieces_q, case_motions), lift_p, lift_q
             )
             got = [ok for label, ok, _ in report.entries if label.startswith("motion")]
             want = [
                 equals(m.apply_polytope(pp), qq)
-                for pp, qq, m in zip(d.pieces_p, pieces_q, motions)
+                for pp, qq, m in zip(d.pieces_p, pieces_q, case_motions)
             ]
-            assert got == want, trial
-            if pieces_q is d.pieces_q:
+            assert got == want, (trial, case)
+            if case == "tampered":
                 assert got == [k == 0 for k in kinds], trial
                 assert len(calls) == got.count(False), trial
-            else:
+            elif case == "uncertified":
                 assert len(calls) == len(d), trial
+            else:
+                assert all(got) and [id(b) for b in calls] == [id(split[0])], trial
 
 
 def _resplit(piece: RefinedPolytope) -> RefinedPolytope:
